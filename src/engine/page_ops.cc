@@ -10,12 +10,7 @@
 namespace rewinddb {
 
 Lsn PageOps::Publish(Transaction* txn, const LogRecord& rec) {
-  if (txn != nullptr) {
-    Lsn base = kInvalidLsn;
-    Lsn lsn = txn->writer.Append(rec, &base);
-    txns_->OnAppended(txn, lsn, base);
-    return lsn;
-  }
+  if (txn != nullptr) return txns_->Publish(txn, rec);
   return wal_->Append(rec);
 }
 
@@ -282,8 +277,8 @@ Status PageOps::LogClrUpdate(Transaction* txn, PageGuard& page, uint16_t slot,
   rec.type = LogType::kClr;
   rec.clr_op = LogType::kUpdate;
   rec.slot = slot;
-  rec.image = entry.ToString();
-  rec.image2 = SlottedPage::Record(page.data(), slot).ToString();
+  rec.image = SlottedPage::Record(page.data(), slot).ToString();
+  rec.image2 = entry.ToString();
   rec.undo_next_lsn = undo_next;
   Lsn lsn = AppendChained(txn, page, &rec);
   REWIND_RETURN_IF_ERROR(SlottedPage::ReplaceAt(page.mutable_data(), slot,

@@ -1,6 +1,7 @@
 #include "log/log_manager.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #if defined(__linux__)
@@ -16,6 +17,7 @@
 #include "common/coding.h"
 #include "common/compress.h"
 #include "wal/archive.h"
+#include "wal/wal_cursor.h"
 
 namespace rewinddb {
 
@@ -606,7 +608,8 @@ Lsn LogManager::oldest_available_lsn() const {
   return std::min(oldest, start);
 }
 
-Result<LogRecord> LogManager::ReadRecord(Lsn lsn, size_t* encoded_size) {
+Result<LogRecord> LogManager::ReadRecord(Lsn lsn, size_t* encoded_size,
+                                         wal::BackwardWindow* window) {
   if (lsn < start_lsn_.load() &&
       (archive_ == nullptr || !archive_->Covers(lsn))) {
     return Status::OutOfRange(
@@ -630,7 +633,7 @@ Result<LogRecord> LogManager::ReadRecord(Lsn lsn, size_t* encoded_size) {
                      encoded_size);
     }
   }
-  return ReadFromFile(lsn, encoded_size);
+  return ReadFromFile(lsn, encoded_size, window);
 }
 
 Result<LogRecord> LogManager::ParseAt(const char* data, size_t avail,
@@ -641,7 +644,8 @@ Result<LogRecord> LogManager::ParseAt(const char* data, size_t avail,
   return rec;
 }
 
-Result<std::shared_ptr<std::string>> LogManager::FetchBlock(uint64_t idx) {
+Result<std::shared_ptr<std::string>> LogManager::FetchBlock(
+    uint64_t idx, wal::BackwardWindow* window) {
   if (opts_.cache_blocks > 0) {
     std::lock_guard<std::mutex> g(cache_mu_);
     auto it = cache_.find(idx);
@@ -652,6 +656,11 @@ Result<std::shared_ptr<std::string>> LogManager::FetchBlock(uint64_t idx) {
       if (stats_ != nullptr) stats_->log_read_hits++;
       return it->second.block;
     }
+  }
+  if (window != nullptr) {
+    REWIND_ASSIGN_OR_RETURN(std::shared_ptr<std::string> block,
+                            ReadBackwardExtent(idx, window));
+    if (block != nullptr) return block;
   }
   // Miss: materialize the block from the device. Without an archive
   // (or for blocks wholly at/above the archive high water mark) this is
@@ -750,17 +759,78 @@ Result<std::shared_ptr<std::string>> LogManager::FetchBlock(uint64_t idx) {
     // is only cached when no flush ran across the read.
     const bool stable =
         block->size() == kBlockSize && block_end <= flushed_before;
-    if ((stable || short_block_safe) && cache_.find(idx) == cache_.end()) {
-      lru_.push_front(idx);
-      cache_[idx] = {block, lru_.begin()};
-      while (cache_.size() > opts_.cache_blocks) {
-        uint64_t victim = lru_.back();
-        lru_.pop_back();
-        cache_.erase(victim);
-      }
-    }
+    if (stable || short_block_safe) CacheLocked(idx, block);
   }
   return block;
+}
+
+void LogManager::CacheLocked(uint64_t idx,
+                             std::shared_ptr<std::string> block) {
+  if (cache_.find(idx) != cache_.end()) return;
+  lru_.push_front(idx);
+  cache_[idx] = {std::move(block), lru_.begin()};
+  while (cache_.size() > opts_.cache_blocks) {
+    uint64_t victim = lru_.back();
+    lru_.pop_back();
+    cache_.erase(victim);
+  }
+}
+
+Result<std::shared_ptr<std::string>> LogManager::ReadBackwardExtent(
+    uint64_t idx, wal::BackwardWindow* window) {
+  // The window doubles while each miss lands in the block just below
+  // the previous read, and falls back to one block otherwise (a jump:
+  // an FPI skip, a sparse stretch of the chain, a new walk).
+  size_t want = 1;
+  if (window->blocks > 0 && idx + 1 == window->low_block) {
+    want = std::min(2 * window->blocks, kMaxBackwardExtentBlocks);
+  }
+  want = std::min(want, opts_.cache_blocks);  // read only what stays
+  uint64_t lo = idx + 1 >= want ? idx + 1 - want : 0;
+  lo = std::max({lo, window->floor_block, start_lsn_.load() / kBlockSize});
+  bool extent = lo < idx && (idx + 1) * kBlockSize <=
+                                flushed_lsn_.load(std::memory_order_acquire);
+  if (extent && archive_ != nullptr && archive_->oldest_lsn() != kInvalidLsn &&
+      archive_->high_water() > lo * kBlockSize) {
+    extent = false;  // archived bytes: composed block by block
+  }
+  if (extent && !FramesOverlapping(lo * kBlockSize, (idx + 1) * kBlockSize)
+                     .empty()) {
+    extent = false;  // frames: materialized block by block
+  }
+  if (!extent) {
+    *window = {window->floor_block, idx, 1};
+    return std::shared_ptr<std::string>();
+  }
+  const size_t n = idx - lo + 1;
+  std::vector<std::shared_ptr<std::string>> blocks(n);
+  std::vector<struct iovec> iov(n);
+  for (size_t i = 0; i < n; i++) {
+    blocks[i] = std::make_shared<std::string>(kBlockSize, '\0');
+    iov[i] = {blocks[i]->data(), kBlockSize};
+  }
+  ssize_t got = ::preadv(fd_, iov.data(), static_cast<int>(n),
+                         static_cast<off_t>(lo * kBlockSize));
+  if (got < 0) {
+    return Status::IoError("log extent read: " + std::string(strerror(errno)));
+  }
+  if (static_cast<size_t>(got) != n * kBlockSize) {
+    // Flushed bytes below the frontier always read in full; if they
+    // did not, let the per-block path make sense of the short file.
+    *window = {window->floor_block, idx, 1};
+    return std::shared_ptr<std::string>();
+  }
+  if (disk_ != nullptr) disk_->Access(lo * kBlockSize, n * kBlockSize);
+  if (stats_ != nullptr) stats_->log_read_misses++;
+  {
+    // Every block lies wholly below the flush frontier: immutable, so
+    // always safe to cache. The missed block goes in last, as the most
+    // recently used.
+    std::lock_guard<std::mutex> g(cache_mu_);
+    for (size_t i = 0; i < n; i++) CacheLocked(lo + i, blocks[i]);
+  }
+  *window = {window->floor_block, lo, n};
+  return blocks[n - 1];
 }
 
 void LogManager::PrefetchBlock(Lsn lsn) {
@@ -770,14 +840,16 @@ void LogManager::PrefetchBlock(Lsn lsn) {
   (void)block;
 }
 
-Result<LogRecord> LogManager::ReadFromFile(Lsn lsn, size_t* encoded_size) {
+Result<LogRecord> LogManager::ReadFromFile(Lsn lsn, size_t* encoded_size,
+                                           wal::BackwardWindow* window) {
   // Assemble the record (which may straddle block boundaries): first get
-  // enough bytes for the length prefix, then the rest.
+  // enough bytes for the length prefix, then the rest. Only the first
+  // block can start a backward extent: a straddle continues upward.
   std::string buf;
   uint64_t idx = lsn / kBlockSize;
   size_t in_block = lsn % kBlockSize;
   REWIND_ASSIGN_OR_RETURN(std::shared_ptr<std::string> block,
-                          FetchBlock(idx));
+                          FetchBlock(idx, window));
   if (block->size() <= in_block) {
     return Status::Corruption("log read past end of file");
   }

@@ -38,6 +38,7 @@ namespace rewinddb {
 
 namespace wal {
 class ArchiveManager;
+struct BackwardWindow;
 class Cursor;
 class Wal;
 }  // namespace wal
@@ -231,8 +232,11 @@ class LogManager {
 
   /// Random-access read of the record at `lsn`. Sets `*encoded_size`
   /// (if non-null) to the record's on-log length so iteration can
-  /// advance without re-encoding. wal::Cursor is the only consumer.
-  Result<LogRecord> ReadRecord(Lsn lsn, size_t* encoded_size = nullptr);
+  /// advance without re-encoding. With a `window`, a cache miss on the
+  /// record's first block may read a backward extent (see
+  /// ReadBackwardExtent). wal::Cursor is the only consumer.
+  Result<LogRecord> ReadRecord(Lsn lsn, size_t* encoded_size = nullptr,
+                               wal::BackwardWindow* window = nullptr);
 
   /// Warm the cache with the 32 KiB block holding `lsn` (sequential
   /// scan prefetch). No-op when the cache is disabled.
@@ -253,15 +257,34 @@ class LogManager {
   /// Read + verify + decompress the frame's logical bytes into `dst`
   /// (f.ulen bytes), choosing the owning tier by the frame's range.
   Status MaterializeFrame(const LogFrame& f, char* dst);
-  /// Fetch the 32 KiB block with index `idx` through the cache.
-  Result<std::shared_ptr<std::string>> FetchBlock(uint64_t idx);
-  Result<LogRecord> ReadFromFile(Lsn lsn, size_t* encoded_size);
+  /// Fetch the 32 KiB block with index `idx` through the cache; a miss
+  /// with a `window` first tries ReadBackwardExtent.
+  Result<std::shared_ptr<std::string>> FetchBlock(
+      uint64_t idx, wal::BackwardWindow* window = nullptr);
+  /// A chain walk missed block `idx`. If the miss lies just below the
+  /// walk's previous one, read the doubled extent ending at `idx` --
+  /// capped at kMaxBackwardExtentBlocks and at the window's floor
+  /// block -- in one preadv straight into per-block buffers, charged as
+  /// one device access and one miss, and cache every block of it.
+  /// Returns null (and the caller reads `idx` alone) for a one-block
+  /// window and for extents that would touch the archive tier, a
+  /// compression frame or unflushed bytes.
+  Result<std::shared_ptr<std::string>> ReadBackwardExtent(
+      uint64_t idx, wal::BackwardWindow* window);
+  /// Insert `block` as the most recently used entry unless `idx` is
+  /// cached already, evicting down to capacity. cache_mu_ held.
+  void CacheLocked(uint64_t idx, std::shared_ptr<std::string> block);
+  Result<LogRecord> ReadFromFile(Lsn lsn, size_t* encoded_size,
+                                 wal::BackwardWindow* window);
   Result<LogRecord> ParseAt(const char* data, size_t avail,
                             size_t* encoded_size) const;
   void NoteCheckpoint(const LogRecord& rec, Lsn lsn);
 
   static constexpr size_t kBlockSize = 32 * 1024;
   static constexpr Lsn kFirstLsn = 64;  // log header occupies [0, 64)
+  /// Cap on a backward extent, in blocks. Measured on the investigate
+  /// workload (simulated SSD), 32 blocks did no better than 8.
+  static constexpr size_t kMaxBackwardExtentBlocks = 8;
 
  public:
   // Frame format constants (public: the archive tier and tests share

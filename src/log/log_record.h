@@ -98,9 +98,12 @@ struct LogRecord {
   uint16_t slot = 0;
 
   /// kInsert/kDelete: the row entry bytes. kUpdate: the OLD entry.
-  /// kPreformat: the full page image. kClr: per clr_op.
+  /// kPreformat: the full page image. kClr: per clr_op, with the same
+  /// before/after convention as the op it performs -- a CLR update
+  /// carries the entry it overwrites here and the restored entry in
+  /// image2, so redo writes image2 and a rewind through it writes image.
   std::string image;
-  /// kUpdate: the NEW entry bytes.
+  /// kUpdate (and kClr of kUpdate): the NEW entry bytes.
   std::string image2;
 
   /// kCommit / kCheckpoint*: wall-clock microseconds.

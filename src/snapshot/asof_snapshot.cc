@@ -291,47 +291,61 @@ Status AsOfSnapshot::ScanAnalysis(std::unordered_map<TxnId, Lsn>* att) {
   wal::Wal* log = primary_->log();
 
   // Analysis (section 5.2): find transactions in flight at the
-  // SplitLSN. Start one checkpoint earlier than the one preceding the
-  // split so a split landing inside a checkpoint window still sees the
-  // full active-transaction table. The fallback is the oldest byte
-  // EITHER log tier retains: a long-horizon mount whose split lives in
-  // the archive scans archived history through the same cursor.
-  Lsn analysis_start = log->oldest_lsn();
-  {
-    std::vector<CheckpointRef> ckpts = log->checkpoints();
-    int newest = -1;
-    for (size_t i = 0; i < ckpts.size(); i++) {
-      if (ckpts[i].begin_lsn <= split_.split_lsn) {
-        newest = static_cast<int>(i);
-      }
-    }
-    if (newest > 0) analysis_start = ckpts[newest - 1].begin_lsn;
+  // SplitLSN, scanning from the newest checkpoint whose begin record is
+  // at or before it. That checkpoint's end record lists what was in
+  // flight at its begin record -- unless the split fell inside the
+  // fuzzy checkpoint's window, so the scan reaches the split without
+  // passing the end record. Only then does it restart one checkpoint
+  // earlier: checkpoints serialize, so the first end record after a
+  // begin record is its own (a checkpoint a crash cut short has none,
+  // and the scan steps back again). With no checkpoint left, it starts
+  // at the oldest byte EITHER log tier retains: a long-horizon mount
+  // whose split lives in the archive scans archived history through
+  // the same cursor.
+  const std::vector<CheckpointRef> ckpts = log->checkpoints();
+  int ckpt = -1;
+  for (size_t i = 0; i < ckpts.size(); i++) {
+    if (ckpts[i].begin_lsn <= split_.split_lsn) ckpt = static_cast<int>(i);
   }
-
-  std::unordered_set<TxnId> ended;
+  uint64_t records = 0;
   wal::Cursor cur = log->OpenCursor();
-  REWIND_RETURN_IF_ERROR(cur.SeekTo(analysis_start));
-  while (cur.Valid() && cur.lsn() <= split_.split_lsn) {
-    const LogRecord& rec = cur.record();
-    if (rec.type == LogType::kCheckpointEnd) {
-      for (const AttEntry& e : rec.att) {
-        // Never resurrect a transaction whose COMMIT/ABORT the scan
-        // already passed: a commit can land between the checkpoint's
-        // begin record and the end record's ATT capture.
-        if (ended.count(e.txn_id) != 0) continue;
-        if (att->find(e.txn_id) == att->end()) (*att)[e.txn_id] = e.last_lsn;
+  for (;; ckpt--) {
+    const Lsn start = ckpt >= 0 ? ckpts[ckpt].begin_lsn : log->oldest_lsn();
+    att->clear();
+    std::unordered_set<TxnId> ended;
+    bool passed_end = false;
+    REWIND_RETURN_IF_ERROR(cur.SeekTo(start));
+    while (cur.Valid() && cur.lsn() <= split_.split_lsn) {
+      const LogRecord& rec = cur.record();
+      records++;
+      if (rec.type == LogType::kCheckpointEnd) {
+        passed_end = true;
+        for (const AttEntry& e : rec.att) {
+          // Never resurrect a transaction whose COMMIT/ABORT the scan
+          // already passed: a commit can land between the checkpoint's
+          // begin record and the end record's ATT capture.
+          if (ended.count(e.txn_id) != 0) continue;
+          if (att->find(e.txn_id) == att->end()) {
+            (*att)[e.txn_id] = e.last_lsn;
+          }
+        }
+      } else if (rec.txn_id != kInvalidTxnId) {
+        if (rec.type == LogType::kCommit || rec.type == LogType::kAbort) {
+          att->erase(rec.txn_id);
+          ended.insert(rec.txn_id);
+        } else {
+          (*att)[rec.txn_id] = cur.lsn();
+        }
       }
-    } else if (rec.txn_id != kInvalidTxnId) {
-      if (rec.type == LogType::kCommit || rec.type == LogType::kAbort) {
-        att->erase(rec.txn_id);
-        ended.insert(rec.txn_id);
-      } else {
-        (*att)[rec.txn_id] = cur.lsn();
-      }
+      REWIND_RETURN_IF_ERROR(cur.Next());
     }
-    REWIND_RETURN_IF_ERROR(cur.Next());
+    if (passed_end || ckpt < 0) {
+      std::lock_guard<std::mutex> sg(stats_mu_);
+      stats_.analysis_start_lsn = start;
+      stats_.analysis_records = records;
+      return Status::OK();
+    }
   }
-  return Status::OK();
 }
 
 Status AsOfSnapshot::Recover() {

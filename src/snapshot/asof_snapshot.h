@@ -169,8 +169,17 @@ class AsOfSnapshot {
     uint64_t create_micros = 0;
     // Mount-phase breakdown (all charged to the primary's clock, so
     // simulated micros under a SimClock):
-    /// Analysis scan (checkpoint before the split -> SplitLSN).
+    /// Analysis scan (analysis_start_lsn -> SplitLSN).
     uint64_t analysis_micros = 0;
+    /// LSN the analysis scan started at: the begin record of the newest
+    /// checkpoint at or before the split, or of the one before it when
+    /// the split fell inside that checkpoint's window (the log's oldest
+    /// available byte when no such checkpoint exists). Mirrors
+    /// RecoveryStats; under kLazy, read it after WaitForUndo.
+    Lsn analysis_start_lsn = kInvalidLsn;
+    /// Records the analysis scan decoded, a restarted scan's first pass
+    /// included.
+    uint64_t analysis_records = 0;
     /// The redo-stage work: loser lock re-acquisition (page redo needs
     /// no IO -- the creation checkpoint already flushed everything).
     uint64_t redo_micros = 0;
@@ -272,8 +281,10 @@ class AsOfSnapshot {
 
   /// Side file + store + buffer pool + catalog (both modes).
   Status SetupStorage();
-  /// Analysis: scan [checkpoint before the ckpt preceding the split ->
-  /// split] and return the in-flight transactions (ATT) at the split.
+  /// Analysis: scan [newest checkpoint at or before the split -> split]
+  /// -- restarting one checkpoint earlier if the scan reaches the split
+  /// inside that checkpoint's window, before its end record -- and
+  /// return the in-flight transactions (ATT) at the split.
   Status ScanAnalysis(std::unordered_map<TxnId, Lsn>* att);
   Status Recover();
   void BackgroundUndo();

@@ -14,6 +14,9 @@ Status PageRewinder::PreparePageAsOf(char* page, Lsn as_of_lsn,
   // walk stops, it is the next modification after the final image.
   Lsn boundary = kInvalidLsn;
   wal::Cursor cur = wal_->OpenCursor();
+  // A hot page's chain descends the log densely: let misses read
+  // growing backward extents, never below the target's block.
+  cur.EnableBackwardExtents(as_of_lsn);
   // A generous bound: a page cannot have more live chain entries than
   // bytes of log; this guards against chain corruption loops.
   for (uint64_t steps = 0; curr > as_of_lsn; steps++) {

@@ -1,5 +1,7 @@
 #include "txn/transaction.h"
 
+#include <thread>
+
 namespace rewinddb {
 
 Transaction* TransactionManager::Begin(bool is_system) {
@@ -20,6 +22,18 @@ Transaction* TransactionManager::Begin(bool is_system) {
   begin.is_system = is_system;
   raw->writer.Stage(begin);
   return raw;
+}
+
+Lsn TransactionManager::Publish(Transaction* txn, const LogRecord& rec) {
+  // The record gets its LSN inside the log's append lock, so a
+  // checkpoint whose begin record follows it sees the odd count, and
+  // its ATT capture waits for the even one, which follows last_lsn.
+  txn->publishing++;
+  Lsn base = kInvalidLsn;
+  Lsn lsn = txn->writer.Append(rec, &base);
+  OnAppended(txn, lsn, base);
+  txn->publishing++;
+  return lsn;
 }
 
 void TransactionManager::OnAppended(Transaction* txn, Lsn lsn,
@@ -124,6 +138,13 @@ std::vector<AttEntry> TransactionManager::ActiveTransactions() const {
     // Decided transactions linger in active_ through the durability
     // wait; they are not recovery work and must not be captured.
     if (txn->completion_logged) continue;
+    // A record published before the caller's begin record may not show
+    // in last_lsn yet (it may even be the transaction's first): wait
+    // for that publish to finish. Publish takes no lock held here.
+    const uint64_t seq = txn->publishing.load();
+    if (seq % 2 != 0) {
+      while (txn->publishing.load() == seq) std::this_thread::yield();
+    }
     if (txn->last_lsn != kInvalidLsn) att.push_back({id, txn->last_lsn});
   }
   return att;

@@ -35,6 +35,9 @@ struct Transaction {
   /// LSN of the most recent record (head of the prevLSN chain). Same
   /// cross-thread read contract as first_lsn.
   std::atomic<Lsn> last_lsn{kInvalidLsn};
+  /// Odd while TransactionManager::Publish has put a record in the log
+  /// that first_lsn/last_lsn may not show yet.
+  std::atomic<uint64_t> publishing{0};
   /// System transactions wrap B-tree structure modifications and page
   /// (de)allocations: short, committed within the operation, and undone
   /// *physically* during recovery (their pages cannot have been touched
@@ -89,13 +92,16 @@ class TransactionManager {
   /// ABORT and release locks.
   Status Abort(Transaction* txn, UndoApplier* applier);
 
-  /// Called by the engine after publishing a record for `txn` so the
-  /// prevLSN chain and ATT stay current. `publish_base` is the LSN of
-  /// the first byte the publish spliced (the staged BEGIN when the
-  /// writer held one); it anchors first_lsn.
-  void OnAppended(Transaction* txn, Lsn lsn, Lsn publish_base = kInvalidLsn);
+  /// Publish `rec` through the transaction's writer and advance its
+  /// prevLSN chain; returns the record's LSN. The engine's one path for
+  /// a transaction's non-completion records.
+  Lsn Publish(Transaction* txn, const LogRecord& rec);
 
-  /// Snapshot of the ATT for checkpoint-end records.
+  /// Snapshot of the ATT for checkpoint-end records. A publish in
+  /// flight is waited out first, so when the caller appended its
+  /// checkpoint begin record beforehand, every transaction record
+  /// below it shows in the ATT -- which analysis, starting at that
+  /// record, relies on.
   std::vector<AttEntry> ActiveTransactions() const;
 
   /// Log-retention floor: the oldest first_lsn among active
@@ -114,6 +120,12 @@ class TransactionManager {
   void BumpTxnId(TxnId floor);
 
  private:
+  /// Keep the prevLSN chain and ATT current after publishing a record
+  /// for `txn`. `publish_base` is the LSN of the first byte the publish
+  /// spliced (the staged BEGIN when the writer held one); it anchors
+  /// first_lsn.
+  void OnAppended(Transaction* txn, Lsn lsn, Lsn publish_base = kInvalidLsn);
+
   wal::Wal* wal_;
   LockManager* locks_;
   Clock* clock_;

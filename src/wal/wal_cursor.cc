@@ -8,11 +8,12 @@
 namespace rewinddb {
 namespace wal {
 
-Status Cursor::LoadAt(Lsn lsn, bool benign_corruption) {
+Status Cursor::LoadAt(Lsn lsn, bool benign_corruption,
+                      BackwardWindow* window) {
   valid_ = false;
   if (lsn == kInvalidLsn) return Status::OK();  // chain end
   size_t size = 0;
-  auto rec = core_->ReadRecord(lsn, &size);
+  auto rec = core_->ReadRecord(lsn, &size, window);
   if (rec.ok()) {
     rec_ = std::move(*rec);
     lsn_ = lsn;
@@ -32,14 +33,21 @@ Status Cursor::LoadAt(Lsn lsn, bool benign_corruption) {
   return s;
 }
 
-Status Cursor::SeekTo(Lsn lsn) { return LoadAt(lsn, /*benign=*/false); }
+Status Cursor::SeekTo(Lsn lsn) {
+  return LoadAt(lsn, /*benign=*/false, /*window=*/nullptr);
+}
+
+void Cursor::EnableBackwardExtents(Lsn floor) {
+  window_ = BackwardWindow{floor / LogManager::kBlockSize, 0, 0};
+}
 
 Status Cursor::Follow(Lsn lsn) {
   if (lsn == kInvalidLsn) {
     valid_ = false;
     return Status::OK();  // chain end
   }
-  REWIND_RETURN_IF_ERROR(LoadAt(lsn, /*benign=*/false));
+  REWIND_RETURN_IF_ERROR(LoadAt(lsn, /*benign=*/false,
+                                window_.has_value() ? &*window_ : nullptr));
   if (!valid_) {
     // Unlike a forward scan reaching the frontier, a chain link that
     // does not resolve to a record is a broken chain, never benign:
@@ -62,7 +70,7 @@ Status Cursor::Next() {
   if ((next / LogManager::kBlockSize) != (lsn_ / LogManager::kBlockSize)) {
     core_->PrefetchBlock(next + LogManager::kBlockSize);
   }
-  return LoadAt(next, /*benign=*/true);
+  return LoadAt(next, /*benign=*/true, /*window=*/nullptr);
 }
 
 Status MaterializeFpiImage(const Cursor& at, std::string* image) {

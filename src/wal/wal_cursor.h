@@ -14,7 +14,9 @@
 //    then FollowPrev()/FollowPrevPage()/FollowPrevFpi()/
 //    FollowUndoNext(), which jump straight to the LSN the current
 //    record names. A kInvalidLsn link ends the walk benignly
-//    (Valid() false, OK status).
+//    (Valid() false, OK status). A walk descending a dense chain can
+//    ask for backward extents (EnableBackwardExtents), so its misses
+//    read several blocks per device access.
 //
 // End-of-log and a torn tail end a forward scan benignly: Next()
 // leaves the cursor invalid with OK status, mirroring how recovery
@@ -34,6 +36,8 @@
 #ifndef REWINDDB_WAL_WAL_CURSOR_H_
 #define REWINDDB_WAL_WAL_CURSOR_H_
 
+#include <optional>
+
 #include "common/result.h"
 #include "common/types.h"
 #include "log/log_record.h"
@@ -43,6 +47,17 @@ namespace rewinddb {
 class LogManager;
 
 namespace wal {
+
+/// A chain walk's backward-extent window (Cursor::EnableBackwardExtents).
+/// Every cursor owns its own, so concurrent walks never share one.
+struct BackwardWindow {
+  /// Lowest block an extent may reach: the block of the walk's target.
+  uint64_t floor_block = 0;
+  /// The walk's previous device read: its lowest block and its length
+  /// in blocks (0 before the first miss).
+  uint64_t low_block = 0;
+  size_t blocks = 0;
+};
 
 class Cursor {
  public:
@@ -84,6 +99,16 @@ class Cursor {
   Status FollowPrevFpi() { return Follow(rec_.prev_fpi_lsn); }
   Status FollowUndoNext() { return Follow(rec_.undo_next_lsn); }
 
+  /// Read backward extents on this cursor's chain-follow misses: a
+  /// SeekToChain/Follow* that misses the log block cache in the block
+  /// just below the cursor's previous miss reads a doubling extent of
+  /// up to LogManager::kMaxBackwardExtentBlocks ending at the missed
+  /// block, in one device access, never below the block holding
+  /// `floor`. For a walk descending a dense chain toward a known target
+  /// (the page rewinder). Archived and compressed-frame ranges, and
+  /// forward scans, keep reading one block per miss.
+  void EnableBackwardExtents(Lsn floor);
+
  private:
   friend class Wal;
 
@@ -91,14 +116,17 @@ class Cursor {
 
   Status Follow(Lsn lsn);
   /// Load the record at `lsn`; `benign_corruption` maps a decode
-  /// failure to a quiet end-of-scan instead of an error.
-  Status LoadAt(Lsn lsn, bool benign_corruption);
+  /// failure to a quiet end-of-scan instead of an error. `window` (may
+  /// be null) lets a miss read a backward extent.
+  Status LoadAt(Lsn lsn, bool benign_corruption, BackwardWindow* window);
 
   LogManager* core_;
   bool valid_ = false;
   Lsn lsn_ = kInvalidLsn;
   size_t size_ = 0;
   LogRecord rec_;
+  /// Present once EnableBackwardExtents was called.
+  std::optional<BackwardWindow> window_;
 };
 
 /// Materialize the full page image the FPI record under `at` stands

@@ -300,6 +300,31 @@ TEST_F(EngineTest, CrashRecoveryRollsBackLosers) {
   EXPECT_TRUE(table->Get(nullptr, {150}).status().IsNotFound());
 }
 
+TEST_F(EngineTest, CrashRecoveryKeepsRolledBackUpdateUndone) {
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(db_->CreateTable(txn, "t", KvSchema()).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  auto table = db_->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  Transaction* t1 = db_->Begin();
+  ASSERT_TRUE(table->Insert(t1, {7, std::string("original")}).ok());
+  ASSERT_TRUE(db_->Commit(t1).ok());
+  // The page reaches disk with the original row; the update and its
+  // compensation live only in the log, so redo must replay both.
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  Transaction* t2 = db_->Begin();
+  ASSERT_TRUE(table->Update(t2, {7, std::string("rolled-back")}).ok());
+  ASSERT_TRUE(db_->Abort(t2).ok());
+  ASSERT_TRUE(db_->log()->FlushAll().ok());
+  CrashAndReopen();
+  table = db_->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  auto row = table->Get(nullptr, {7});
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ((*row)[1].AsString(), "original")
+      << "redo of the update's CLR must restore the original row";
+}
+
 TEST_F(EngineTest, RecoveryIsIdempotentAcrossRepeatedCrashes) {
   Transaction* txn = db_->Begin();
   ASSERT_TRUE(db_->CreateTable(txn, "t", KvSchema()).ok());

@@ -157,8 +157,8 @@ std::vector<CodecCase> CodecCases() {
     r.txn_id = 5;
     r.page_id = 77;
     r.slot = 2;
-    r.image = "restored";
-    r.image2 = "undone";
+    r.image = "overwritten";
+    r.image2 = "restored";
     r.undo_next_lsn = 321;
     cases.push_back({"clr_update", r});
   }

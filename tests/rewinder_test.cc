@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <vector>
 
 #include "btree/btree.h"
@@ -222,6 +223,187 @@ TEST(RewinderTest, TruncatedChainReportsOutOfRange) {
   }
   (*db).reset();
   std::filesystem::remove_all(dir);
+}
+
+// ------------------------- backward extents ----------------------------
+
+/// The log's block size: the unit a cache miss reads.
+constexpr Lsn kLogBlock = 32 * 1024;
+
+/// One leaf page whose chain descends the log densely: kBefore updates
+/// of ~1 KiB values, the rewind target, then kAfter more updates.
+struct DenseChain {
+  static constexpr int kBefore = 300;
+  static constexpr int kAfter = 600;
+  std::string dir;
+  std::unique_ptr<Database> db;
+  char page[kPageSize];
+  Lsn target = kInvalidLsn;
+
+  ~DenseChain() {
+    db.reset();
+    if (!dir.empty()) std::filesystem::remove_all(dir);
+  }
+};
+
+void BuildDenseChain(const std::string& name, bool compressed, bool archived,
+                     DenseChain* c) {
+  c->dir = (std::filesystem::temp_directory_path() / "rewinddb_rewinder" /
+            name)
+               .string();
+  std::filesystem::remove_all(c->dir);
+  DatabaseOptions opts;
+  opts.fpi_period = 0;
+  opts.checkpoint_interval_bytes = 0;
+  opts.wal_compression = compressed;
+  opts.archive_dir = archived ? c->dir + "/archive" : "";
+  auto db = Database::Create(c->dir, opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  c->db = std::move(*db);
+  Database* d = c->db.get();
+
+  Transaction* txn = d->Begin();
+  auto root = BTree::Create(d->write_ctx(), txn);
+  ASSERT_TRUE(root.ok());
+  BTree tree(*root);
+  ASSERT_TRUE(tree.Insert(d->write_ctx(), txn, "k", "v").ok());
+  ASSERT_TRUE(d->Commit(txn).ok());
+  auto update = [&](int from, int to) {
+    Transaction* w = d->Begin();
+    for (int i = from; i < to; i++) {
+      const std::string value(1000, static_cast<char>('a' + i % 26));
+      ASSERT_TRUE(tree.Update(d->write_ctx(), w, "k", value).ok());
+    }
+    ASSERT_TRUE(d->Commit(w).ok());
+  };
+  ASSERT_NO_FATAL_FAILURE(update(0, DenseChain::kBefore));
+  c->target = d->log()->next_lsn();
+  ASSERT_NO_FATAL_FAILURE(
+      update(DenseChain::kBefore, DenseChain::kBefore + DenseChain::kAfter));
+  ASSERT_TRUE(d->log()->FlushAll().ok());
+  auto g = d->buffers()->FetchPage(*root, AccessMode::kRead);
+  ASSERT_TRUE(g.ok());
+  memcpy(c->page, g->data(), kPageSize);
+  if (archived) {
+    ASSERT_TRUE(d->log()->ArchiveUpTo(d->log()->next_lsn()).ok());
+    ASSERT_GT(d->log()->archive()->high_water(), PageLsn(c->page));
+  }
+}
+
+/// Rewind a copy of the chain's page to `target` from a cold log cache
+/// into `out`; returns the device reads (cache misses) it made.
+uint64_t ColdRewind(DenseChain* c, Lsn target, char* out) {
+  memcpy(out, c->page, kPageSize);
+  c->db->log()->DropCache();
+  const uint64_t misses0 = c->db->stats()->log_read_misses.load();
+  PageRewinder rewinder(c->db->log());
+  Status s = rewinder.PreparePageAsOf(out, target);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return c->db->stats()->log_read_misses.load() - misses0;
+}
+
+/// The blocks holding any byte of the chain records a rewind to
+/// `target` reads.
+std::set<uint64_t> ChainBlocks(DenseChain* c, Lsn target) {
+  std::set<uint64_t> blocks;
+  wal::Cursor cur = c->db->log()->OpenCursor();
+  for (Lsn lsn = PageLsn(c->page); lsn > target;
+       lsn = cur.record().prev_page_lsn) {
+    if (!cur.SeekToChain(lsn).ok() || !cur.Valid()) {
+      ADD_FAILURE() << "broken chain at " << lsn;
+      break;
+    }
+    for (uint64_t b = lsn / kLogBlock; b <= (cur.end_lsn() - 1) / kLogBlock;
+         b++) {
+      blocks.insert(b);
+    }
+  }
+  return blocks;
+}
+
+TEST(RewinderTest, BackwardExtentsReadADenseChainInFewerReadsThanBlocks) {
+  DenseChain c;
+  ASSERT_NO_FATAL_FAILURE(BuildDenseChain("extents", false, false, &c));
+  char rewound[kPageSize];
+  const uint64_t reads = ColdRewind(&c, c.target, rewound);
+  const std::set<uint64_t> blocks = ChainBlocks(&c, c.target);
+  ASSERT_GT(blocks.size(), 16u) << "the chain should span many blocks";
+  EXPECT_LT(reads, blocks.size() / 2)
+      << "a dense chain walk should read extents, not single blocks";
+}
+
+TEST(RewinderTest, BackwardExtentsNeverReadBelowTheTargetBlock) {
+  DenseChain c;
+  ASSERT_NO_FATAL_FAILURE(BuildDenseChain("extents_floor", false, false, &c));
+  // The doubling extents end flush with at most one of two floors a
+  // block apart, so at least one of these walks would overshoot.
+  const uint64_t first_floor = c.target / kLogBlock;
+  ASSERT_GE(first_floor, 8u);
+  for (Lsn target : {c.target, (first_floor + 1) * kLogBlock}) {
+    const uint64_t floor_block = target / kLogBlock;
+    // One record lying wholly inside each of the 8 blocks below the
+    // target's block: reading it touches that block alone.
+    std::vector<Lsn> probes;
+    wal::Cursor cur = c.db->log()->OpenCursor();
+    ASSERT_TRUE(cur.SeekTo(c.db->log()->oldest_lsn()).ok());
+    for (uint64_t want = floor_block - 8; cur.Valid() && want < floor_block;) {
+      if (cur.lsn() / kLogBlock == want &&
+          (cur.end_lsn() - 1) / kLogBlock == want) {
+        probes.push_back(cur.lsn());
+        want++;
+      }
+      ASSERT_TRUE(cur.Next().ok());
+    }
+    ASSERT_EQ(probes.size(), 8u);
+
+    char rewound[kPageSize];
+    ColdRewind(&c, target, rewound);
+    EXPECT_GE(*ChainBlocks(&c, target).begin(), floor_block);
+    // Nothing below the target's block was read: each probe misses.
+    const uint64_t misses0 = c.db->stats()->log_read_misses.load();
+    for (Lsn lsn : probes) ASSERT_TRUE(cur.SeekTo(lsn).ok());
+    EXPECT_EQ(c.db->stats()->log_read_misses.load() - misses0, probes.size())
+        << "target " << target;
+  }
+}
+
+TEST(RewinderTest, BackwardExtentsRewindTheSameBytesAsAnUncachedWalk) {
+  DenseChain c;
+  ASSERT_NO_FATAL_FAILURE(BuildDenseChain("extents_bytes", false, false, &c));
+  char with_extents[kPageSize];
+  ColdRewind(&c, c.target, with_extents);
+
+  // Reopen the same history without a log block cache: every record
+  // is read straight from the file, one block at a time.
+  c.db.reset();
+  DatabaseOptions opts;
+  opts.log_cache_blocks = 0;
+  auto db = Database::Open(c.dir, opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  c.db = std::move(*db);
+  char uncached[kPageSize];
+  memcpy(uncached, c.page, kPageSize);
+  PageRewinder rewinder(c.db->log());
+  ASSERT_TRUE(rewinder.PreparePageAsOf(uncached, c.target).ok());
+  EXPECT_EQ(rewinder.records_undone(),
+            static_cast<uint64_t>(DenseChain::kAfter));
+  EXPECT_EQ(memcmp(with_extents, uncached, kPageSize), 0);
+}
+
+TEST(RewinderTest, BackwardExtentsKeepCompressedAndArchivedRangesPerBlock) {
+  for (bool archived : {false, true}) {
+    SCOPED_TRACE(archived ? "archived" : "compressed");
+    DenseChain c;
+    ASSERT_NO_FATAL_FAILURE(BuildDenseChain(
+        archived ? "extents_archived" : "extents_compressed", !archived,
+        archived, &c));
+    if (!archived) ASSERT_GT(c.db->log()->stats().frames_written, 0u);
+    char rewound[kPageSize];
+    const uint64_t reads = ColdRewind(&c, c.target, rewound);
+    const std::set<uint64_t> blocks = ChainBlocks(&c, c.target);
+    ASSERT_GT(blocks.size(), 16u);
+    EXPECT_EQ(reads, blocks.size()) << "every block should be read alone";
+  }
 }
 
 }  // namespace

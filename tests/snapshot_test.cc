@@ -324,6 +324,98 @@ TEST_F(SnapshotTest, InFlightTransactionInvisibleAfterUndo) {
   ASSERT_TRUE(db_->Commit(in_flight).ok());
 }
 
+// ----------------------- analysis window (5.2) ------------------------
+
+TEST_F(SnapshotTest, AnalysisStartsAtNewestCheckpointBeforeSplit) {
+  MakeKvTable();
+  auto table = db_->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  clock_->Advance(kSecond);
+  PutRows(&*table, 0, 10, "a");
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  clock_->Advance(kSecond);
+  PutRows(&*table, 10, 20, "b");
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  const Lsn newest = db_->log()->checkpoints().back().begin_lsn;
+  clock_->Advance(kSecond);
+  PutRows(&*table, 20, 30, "c");
+  const WallClock t = clock_->NowMicros();
+  clock_->Advance(kSecond);
+  PutRows(&*table, 30, 40, "d");
+
+  for (MountMode mode : {MountMode::kEager, MountMode::kLazy}) {
+    auto snap = AsOfSnapshot::Create(db_.get(), "window", t, mode);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ASSERT_TRUE((*snap)->WaitForUndo().ok());
+    AsOfSnapshot::CreationStats cs = (*snap)->creation_stats();
+    EXPECT_EQ(cs.analysis_start_lsn, newest);
+    EXPECT_EQ(cs.analysis_start_lsn, cs.checkpoint_lsn);
+    EXPECT_GT(cs.analysis_records, 0u);
+    auto st = (*snap)->OpenTable("t");
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(*st->Count(), 30u);
+  }
+}
+
+TEST_F(SnapshotTest, AnalysisRestartsWhenSplitFallsInsideCheckpointWindow) {
+  // No byte-triggered checkpoint may interleave with the hand-written
+  // begin/end pair below.
+  DatabaseOptions opts;
+  opts.clock = clock_.get();
+  opts.checkpoint_interval_bytes = 0;
+  Recreate(opts);
+  MakeKvTable();
+  auto table = db_->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  clock_->Advance(kSecond);
+  PutRows(&*table, 0, 10, "committed");
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  const Lsn earlier = db_->log()->checkpoints().back().begin_lsn;
+
+  // The loser writes before the fuzzy checkpoint's begin record and
+  // never again.
+  clock_->Advance(kSecond);
+  Transaction* loser = db_->Begin();
+  ASSERT_TRUE(table->Insert(loser, {100, std::string("loser")}).ok());
+  clock_->Advance(kSecond);
+  LogRecord begin;
+  begin.type = LogType::kCheckpointBegin;
+  begin.wall_clock = clock_->NowMicros();
+  db_->log()->Append(begin);
+  // A commit lands inside the checkpoint's window: the split.
+  clock_->Advance(kSecond);
+  PutRows(&*table, 200, 201, "inside");
+  const WallClock t = clock_->NowMicros();
+  clock_->Advance(kSecond);
+  LogRecord end;
+  end.type = LogType::kCheckpointEnd;
+  end.wall_clock = begin.wall_clock;
+  end.att = {{loser->id, loser->last_lsn.load()}};
+  db_->log()->Append(end);
+  ASSERT_TRUE(db_->log()->FlushAll().ok());
+  clock_->Advance(kSecond);
+
+  for (MountMode mode : {MountMode::kEager, MountMode::kLazy}) {
+    auto snap = AsOfSnapshot::Create(db_.get(), "inside", t, mode);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    auto st = (*snap)->OpenTable("t");
+    ASSERT_TRUE(st.ok());
+    // Only the earlier checkpoint's window sees the loser: the scan
+    // from the newer begin record reaches the split before its end
+    // record.
+    EXPECT_TRUE(st->Get({100}).status().IsNotFound())
+        << "the loser's row must be undone";
+    auto inside = st->Get({200});
+    ASSERT_TRUE(inside.ok()) << inside.status().ToString();
+    EXPECT_EQ((*inside)[1].AsString(), "inside");
+    ASSERT_TRUE((*snap)->WaitForUndo().ok());
+    AsOfSnapshot::CreationStats cs = (*snap)->creation_stats();
+    EXPECT_EQ(cs.analysis_start_lsn, earlier);
+    EXPECT_EQ(cs.loser_transactions, 1u);
+  }
+  ASSERT_TRUE(db_->Abort(loser).ok());
+}
+
 TEST_F(SnapshotTest, AsOfBeyondRetentionFails) {
   MakeKvTable();
   auto table = db_->OpenTable("t");

@@ -116,6 +116,32 @@ class RollbackTest : public ::testing::Test {
   std::unique_ptr<Database> db_;
 };
 
+TEST_F(RollbackTest, CheckpointAttWaitsForAPublishInFlight) {
+  // A record gets its LSN -- possibly below a checkpoint's begin record
+  // -- before the transaction's last_lsn shows it. The checkpoint's
+  // ATT capture must wait for that publish instead of missing the
+  // transaction, which analysis starting at the begin record would
+  // then never undo.
+  Transaction* txn = db_->Begin();
+  txn->publishing++;  // mid-publish, and the transaction's first record
+  std::atomic<bool> captured{false};
+  std::vector<AttEntry> att;
+  std::thread checkpoint([&] {
+    att = db_->txns()->ActiveTransactions();
+    captured = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(captured.load());
+  txn->last_lsn = 4242;
+  txn->publishing++;
+  checkpoint.join();
+  ASSERT_EQ(att.size(), 1u);
+  EXPECT_EQ(att[0].txn_id, txn->id);
+  EXPECT_EQ(att[0].last_lsn, 4242u);
+  txn->last_lsn = kInvalidLsn;  // nothing was really published
+  ASSERT_TRUE(db_->Commit(txn).ok());
+}
+
 TEST_F(RollbackTest, AbortUndoesInserts) {
   auto table = db_->OpenTable("t");
   ASSERT_TRUE(table.ok());
