@@ -7,7 +7,8 @@
 
 namespace rewinddb {
 
-Status FilePageStore::ReadPage(PageId id, char* buf) {
+Status FilePageStore::ReadPage(PageId id, char* buf, bool* dirty) {
+  *dirty = false;
   return file_->ReadPage(id, buf);
 }
 
@@ -234,7 +235,8 @@ Result<Frame*> BufferManager::PinFrame(PageId id, bool read_on_miss,
   target->io_busy = true;
   g.unlock();
 
-  Status io = store_->ReadPage(id, target->data);
+  bool recovered = false;
+  Status io = store_->ReadPage(id, target->data, &recovered);
   if (io.ok() && verify_checksums_ && !VerifyPageChecksum(target->data)) {
     io = Status::Corruption("page " + std::to_string(id) +
                             " failed checksum verification");
@@ -252,6 +254,9 @@ Result<Frame*> BufferManager::PinFrame(PageId id, bool read_on_miss,
     s->io_cv.notify_all();
     return io;
   }
+  // A recovered image is in no store yet: the write-back on eviction or
+  // flush is what saves it.
+  target->dirty = recovered;
   s->io_cv.notify_all();
   return target;
 }

@@ -5,6 +5,8 @@
 // database's store is the PagedFile; an as-of snapshot's store is the
 // SnapshotStore, which checks the sparse side file, falls back to the
 // primary file and rewinds the page on the way in (paper section 5.3).
+// A page the store had to recover enters the pool dirty, so it reaches
+// the side file only when it leaves the pool (eviction or flush).
 // Keeping that indirection *below* the buffer pool is what preserves the
 // paper's property that every component higher in the stack (B-tree,
 // catalog, queries) is oblivious to time travel (section 2.2).
@@ -49,7 +51,10 @@ namespace rewinddb {
 class PageStore {
  public:
   virtual ~PageStore() = default;
-  virtual Status ReadPage(PageId id, char* buf) = 0;
+  /// Fill `buf` with page `id`. `*dirty` reports that the store does not
+  /// hold this image yet (a snapshot store recovered it): the pool keeps
+  /// the frame dirty, so the image is written back before it is dropped.
+  virtual Status ReadPage(PageId id, char* buf, bool* dirty) = 0;
   virtual Status WritePage(PageId id, const char* buf) = 0;
 };
 
@@ -57,7 +62,7 @@ class PageStore {
 class FilePageStore : public PageStore {
  public:
   explicit FilePageStore(class PagedFile* file) : file_(file) {}
-  Status ReadPage(PageId id, char* buf) override;
+  Status ReadPage(PageId id, char* buf, bool* dirty) override;
   Status WritePage(PageId id, const char* buf) override;
 
  private:
@@ -82,7 +87,9 @@ struct Frame {
   /// FlushPage calls on one page (e.g. two simultaneous checkpoints)
   /// may race clear-vs-clear, and DirtyPageTable reads race a writer's
   /// MarkDirty. Set-vs-clear cannot race: MarkDirty requires the
-  /// exclusive latch, which excludes the flusher's shared latch.
+  /// exclusive latch, which excludes the flusher's shared latch, and a
+  /// miss that filled the frame by recovery sets it under the shard
+  /// mutex as it clears io_busy, before any flusher can pin the frame.
   std::atomic<bool> dirty{false};
   std::atomic<Lsn> rec_lsn{kInvalidLsn};
   int pin_count = 0;          // guarded by the owning shard's mutex

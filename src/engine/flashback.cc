@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "btree/btree.h"
+#include "catalog/catalog.h"
 #include "page/slotted_page.h"
 #include "txn/lock_manager.h"
 
@@ -77,6 +78,15 @@ Result<FlashbackResult> FlashbackTransaction(Database* db, TxnId victim) {
       if (!rec.is_system &&
           (rec.type == LogType::kInsert || rec.type == LogType::kDelete ||
            rec.type == LogType::kUpdate)) {
+        if (rec.tree_id == Catalog::kSysTablesRoot ||
+            rec.tree_id == Catalog::kSysIndexesRoot) {
+          // DDL: the catalog rows name pages the commit allocated or
+          // freed. Undoing the rows alone would leak a created object's
+          // pages, or resurrect a dropped one over freed pages.
+          return Status::InvalidArgument(
+              "transaction " + std::to_string(victim) +
+              " changed the schema; flashback undoes row changes only");
+        }
         reversed.push_back({rec.type, rec.tree_id, rec.image, rec.image2});
       }
       REWIND_RETURN_IF_ERROR(cur.FollowPrev());

@@ -34,7 +34,8 @@ struct FlashbackResult {
 ///
 /// Errors: NotFound if no trace of `victim` is in the retained log,
 /// InvalidArgument if `victim` did not commit (aborted or still
-/// active), Aborted on a write-write conflict with a later transaction.
+/// active) or changed the schema (CREATE/DROP TABLE or INDEX), Aborted
+/// on a write-write conflict with a later transaction.
 Result<FlashbackResult> FlashbackTransaction(Database* db, TxnId victim);
 
 }  // namespace rewinddb

@@ -133,13 +133,18 @@ Status PagePool::Finish() {
 }
 
 Status ParallelFor(int threads, size_t n,
-                   const std::function<Status(size_t)>& fn) {
+                   const std::function<Status(size_t)>& fn,
+                   const std::function<void()>& on_first_error) {
   if (n == 0) return Status::OK();
   size_t workers = threads < 1 ? 1 : static_cast<size_t>(threads);
   if (workers > n) workers = n;
   if (workers == 1) {
     for (size_t i = 0; i < n; i++) {
-      REWIND_RETURN_IF_ERROR(fn(i));
+      Status s = fn(i);
+      if (!s.ok()) {
+        if (on_first_error) on_first_error();
+        return s;
+      }
     }
     return Status::OK();
   }
@@ -156,9 +161,14 @@ Status ParallelFor(int threads, size_t n,
         if (i >= n || failed.load(std::memory_order_acquire)) return;
         Status s = fn(i);
         if (!s.ok()) {
-          std::lock_guard<std::mutex> g(error_mu);
-          if (first_error.ok()) first_error = std::move(s);
-          failed.store(true, std::memory_order_release);
+          bool first;
+          {
+            std::lock_guard<std::mutex> g(error_mu);
+            first = first_error.ok();
+            if (first) first_error = std::move(s);
+            failed.store(true, std::memory_order_release);
+          }
+          if (first && on_first_error) on_first_error();
         }
       }
     });

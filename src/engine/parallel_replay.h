@@ -121,9 +121,12 @@ class PagePool {
 /// Run fn(0) .. fn(n-1) across min(threads, n) workers, returning the
 /// first error. Indices are claimed dynamically (losers vary wildly in
 /// chain length); once any call fails no new index is started.
-/// `threads` <= 1 runs inline, in order.
+/// `threads` <= 1 runs inline, in order. Test seam: `on_first_error`,
+/// if set, runs once, right after the first error is recorded and new
+/// work is stopped.
 Status ParallelFor(int threads, size_t n,
-                   const std::function<Status(size_t)>& fn);
+                   const std::function<Status(size_t)>& fn,
+                   const std::function<void()>& on_first_error = {});
 
 }  // namespace replay
 }  // namespace rewinddb

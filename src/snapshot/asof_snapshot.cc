@@ -56,23 +56,29 @@ class SnapshotRowGate : public RowGate {
 
 // ---------------------------- SnapshotStore ---------------------------
 
-Status SnapshotStore::ReadPage(PageId id, char* buf) {
+Status SnapshotStore::ReadPage(PageId id, char* buf, bool* dirty) {
   // Section 5.3 protocol, with the shared version store between the
   // side file and the primary: (a) side file, (b) version store --
   // exact hit needs no chain walk at all, a newer-than-target version
   // seeds the rewind so the walk covers only the gap, (c) a fresh
   // image + rewind (RecoverPage; the image source and entry point
   // depend on the mount mode). Completed rewinds publish their
-  // pristine result for other snapshots; the prepared page is cached
-  // in the side file. A recovery failure caches NOTHING -- neither
-  // tier sees a partial page, so a later read simply retries.
+  // pristine result for other snapshots. The prepared page goes to the
+  // snapshot's pool dirty, and the pool writes it to the side file when
+  // it evicts or flushes it. A recovery failure caches NOTHING -- the
+  // pool retracts the failed miss and the version store never sees a
+  // partial page, so a later read simply retries.
+  *dirty = false;
   Status s = side_->ReadPage(id, buf);
   if (s.ok()) return s;
   if (!s.IsNotFound()) return s;
 
   REWIND_RETURN_IF_ERROR(RecoverPage(id, buf));
+  // Normalize the checksum field: a lazy mount seeds from a live pool
+  // frame, whose checksum is stale, and eager/lazy pages must match.
   StampPageChecksum(buf);
-  return side_->WritePage(id, buf);
+  *dirty = true;
+  return Status::OK();
 }
 
 Status SnapshotStore::RecoverPage(PageId id, char* buf) {
@@ -445,8 +451,10 @@ void AsOfSnapshot::BackgroundUndo() {
           [&](size_t i) { return UndoLoserChain(user_losers[i]); });
     }
   }
-  // Persist undone pages so later side-file reads see them even after
-  // buffer-pool eviction.
+  // Write the undo output (and any other dirty page, such as one a
+  // query recovered meanwhile) to the side file as the pass ends.
+  // Eviction write-back already keeps a dirty page across eviction;
+  // this flush settles the side file once undo is complete.
   if (status.ok()) status = buffers_->FlushAll();
   {
     std::lock_guard<std::mutex> sg(stats_mu_);
@@ -561,8 +569,10 @@ void AsOfSnapshot::SweeperMain() {
       if (!ts.ok() && s.ok()) s = ts;
     }
   }
-  // Persist undone pages so later side-file reads see them even after
-  // buffer-pool eviction.
+  // Write the undo output (and any other dirty page, such as one a
+  // query recovered meanwhile) to the side file as the sweep ends.
+  // Eviction write-back already keeps a dirty page across eviction;
+  // this flush settles the side file once undo is complete.
   if (s.ok()) s = buffers_->FlushAll();
   {
     std::lock_guard<std::mutex> sg(stats_mu_);

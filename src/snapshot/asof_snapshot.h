@@ -6,8 +6,11 @@
 //
 //  * SnapshotStore -- a PageStore whose read path implements the
 //    section 5.3 protocol: side file hit -> return; miss -> read the
-//    page from the PRIMARY's data file, PreparePageAsOf(page, SplitLSN),
-//    cache the rewound page in the sparse side file. Keeping this below
+//    page from the PRIMARY's data file, PreparePageAsOf(page, SplitLSN)
+//    and hand the rewound page to the snapshot's buffer pool as dirty.
+//    The pool is the page's first home; the sparse side file receives
+//    it only when the pool evicts or flushes it, so a page is rewound
+//    at most once while the snapshot is mounted. Keeping this below
 //    the snapshot's buffer pool leaves the B-tree, catalog and queries
 //    entirely oblivious to time travel.
 //
@@ -87,6 +90,9 @@ using RecoveryFaultHook = std::function<Status(RecoveryFaultPoint, uint64_t)>;
 /// becomes the rewind starting point) -> primary read + full rewind.
 /// Every completed rewind publishes its pristine result back to the
 /// store, so concurrent snapshots at nearby times share undo work.
+/// The read path never writes the side file: a page served from
+/// anywhere but the side file is reported dirty, and the snapshot's
+/// pool writes it there when it evicts or flushes the page.
 class SnapshotStore : public PageStore {
  public:
   /// `versions` may be null (engine without a version store). `owner`
@@ -104,18 +110,21 @@ class SnapshotStore : public PageStore {
       : primary_(primary), side_(side), rewinder_(rewinder),
         versions_(versions), split_lsn_(split_lsn), owner_(owner) {}
 
-  Status ReadPage(PageId id, char* buf) override;
-  /// Writes (from the snapshot's buffer pool: background-undo results,
-  /// eviction of rewound pages) always land in the side file -- never
-  /// in the version store, which holds only physical rewind results
-  /// valid for any snapshot, not this snapshot's private loser-undo.
+  /// `*dirty` is false on a side-file hit and true for a recovered
+  /// page, which the side file does not hold yet.
+  Status ReadPage(PageId id, char* buf, bool* dirty) override;
+  /// Writes (from the snapshot's buffer pool: evicted or flushed
+  /// recovered pages, background-undo results) always land in the side
+  /// file -- never in the version store, which holds only physical
+  /// rewind results valid for any snapshot, not this snapshot's private
+  /// loser-undo.
   Status WritePage(PageId id, const char* buf) override;
 
  private:
   /// Produce the split-time image of `id` into `buf` on a side-file
-  /// miss (everything between the version-store probe and the side-file
-  /// fill). Split out so the fault-injection tests can fail it without
-  /// the side file ever seeing a partial page.
+  /// miss (everything after the side-file probe). Split out so the
+  /// fault-injection tests can fail it; a failure caches nothing, as
+  /// the pool retracts the failed miss.
   Status RecoverPage(PageId id, char* buf);
 
   PagedFile* primary_;

@@ -50,11 +50,6 @@ class SqlSession {
                       Connection* snapshot_registry = nullptr)
       : conn_(conn), registry_(snapshot_registry) {}
 
-  /// Legacy entry point: wraps the engine handle in an attached
-  /// Connection owned by the session.
-  explicit SqlSession(Database* db)
-      : owned_(Connection::Attach(db)), conn_(owned_.get()) {}
-
   /// Parse and execute one statement; returns a human-readable result
   /// line (examples print it). Failures carry the offending statement
   /// fragment in the message.
@@ -84,7 +79,6 @@ class SqlSession {
  private:
   SqlResult ShowStats();
 
-  std::unique_ptr<Connection> owned_;  // only for the legacy constructor
   Connection* conn_;
   Connection* registry_ = nullptr;
   ExtraStatsFn extra_stats_;

@@ -167,6 +167,28 @@ TEST_F(FlashbackTest, ErrorsOnUnknownAbortedOrActive) {
   ASSERT_TRUE(db_->Commit(active).ok());
 }
 
+TEST_F(FlashbackTest, RefusesSchemaChanges) {
+  // A DDL transaction's catalog rows name pages its commit allocated or
+  // freed. Undoing only the rows would leak a created table's pages, or
+  // resurrect a dropped table over freed pages that a second DROP then
+  // frees twice.
+  Transaction* create = db_->Begin();
+  TxnId create_id = create->id;
+  ASSERT_TRUE(db_->CreateTable(create, "s", KvSchema()).ok());
+  ASSERT_TRUE(db_->Commit(create).ok());
+  Transaction* drop = db_->Begin();
+  TxnId drop_id = drop->id;
+  ASSERT_TRUE(db_->DropTable(drop, "s").ok());
+  ASSERT_TRUE(db_->Commit(drop).ok());
+
+  Status s = FlashbackTransaction(db_.get(), drop_id).status();
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_TRUE(db_->OpenTable("s").status().IsNotFound())
+      << "the dropped table came back over its freed pages";
+  s = FlashbackTransaction(db_.get(), create_id).status();
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+}
+
 TEST_F(FlashbackTest, FlashbackOfFlashbackRestoresOriginal) {
   auto table = db_->OpenTable("t");
   ASSERT_TRUE(table.ok());

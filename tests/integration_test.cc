@@ -160,7 +160,8 @@ TEST_F(IntegrationTest, SqlSurfaceDrivesFullRecoveryFlow) {
   opts.clock = &clock;
   auto db = Database::Create(dir_, opts);
   ASSERT_TRUE(db.ok());
-  SqlSession sql(db->get());
+  std::unique_ptr<Connection> conn = Connection::Attach(db->get());
+  SqlSession sql(conn.get());
   ASSERT_TRUE(sql.Execute("ALTER DATABASE d SET UNDO_INTERVAL = 1 HOURS")
                   .ok());
   ASSERT_TRUE(sql.Execute("CREATE TABLE logs (seq INT, line TEXT, "

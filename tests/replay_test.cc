@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -115,13 +116,33 @@ TEST(ParallelForTest, RunsAllIndicesOnce) {
 }
 
 TEST(ParallelForTest, FirstErrorWinsAndStopsNewWork) {
+  // Items after 17 wait until ParallelFor has recorded item 17's error,
+  // so a worker preempted between the failure and the stop cannot let
+  // the others run every item first.
   std::atomic<int> started{0};
-  Status s = replay::ParallelFor(4, 10000, [&](size_t i) {
-    started.fetch_add(1);
-    return i == 17 ? Status::Corruption("loser 17") : Status::OK();
-  });
+  std::mutex mu;
+  std::condition_variable cv;
+  bool recorded = false;
+  Status s = replay::ParallelFor(
+      4, 10000,
+      [&](size_t i) {
+        started.fetch_add(1);
+        if (i == 17) return Status::Corruption("loser 17");
+        if (i > 17) {
+          std::unique_lock<std::mutex> g(mu);
+          cv.wait(g, [&] { return recorded; });
+        }
+        return Status::OK();
+      },
+      [&] {
+        std::lock_guard<std::mutex> g(mu);
+        recorded = true;
+        cv.notify_all();
+      });
   ASSERT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_LT(started.load(), 10000) << "error did not stop the fan-out";
+  // Items 0..17, plus at most one waiting item per other worker.
+  EXPECT_LE(started.load(), 18 + 3);
 }
 
 // --------------------- equivalence test fixture -----------------------

@@ -433,7 +433,7 @@ TEST_F(SnapshotTest, AsOfBeyondRetentionFails) {
   EXPECT_TRUE(snap.status().IsOutOfRange()) << snap.status().ToString();
 }
 
-TEST_F(SnapshotTest, SideFileCachesRewoundPages) {
+TEST_F(SnapshotTest, RewoundPagesStayInSnapshotPool) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
@@ -455,11 +455,56 @@ TEST_F(SnapshotTest, SideFileCachesRewoundPages) {
   EXPECT_EQ(*st->Count(), 300u);
   uint64_t undone_after_first = (*snap)->rewinder()->records_undone();
   EXPECT_GT(undone_after_first, 0u);
-  EXPECT_GT((*snap)->side_file()->PageCount(), 0u);
+  // The pool holds every recovered page, so the read path wrote none of
+  // them to the side file.
+  EXPECT_EQ((*snap)->buffers()->stats().evictions, 0u);
+  EXPECT_EQ((*snap)->side_file()->PageCount(), 0u);
   // A second full scan is served from the side file / buffer pool: no
   // further undo work.
   EXPECT_EQ(*st->Count(), 300u);
   EXPECT_EQ((*snap)->rewinder()->records_undone(), undone_after_first);
+}
+
+TEST_F(SnapshotTest, EvictedRewoundPagesReturnFromSideFile) {
+  // The snapshot pool takes the primary's size: 8 frames cannot hold
+  // the table, so the scan evicts recovered pages. With the version
+  // store off, only the side file can spare the second scan a rewind.
+  DatabaseOptions opts;
+  opts.clock = clock_.get();
+  opts.buffer_pool_pages = 8;
+  opts.version_store_bytes = 0;
+  Recreate(opts);
+  MakeKvTable();
+  auto table = db_->OpenTable("t");
+  clock_->Advance(10 * kSecond);
+  const std::string v1(100, '1');
+  PutRows(&*table, 0, 2000, v1);
+  clock_->Advance(kSecond);
+  WallClock t1 = clock_->NowMicros();
+  clock_->Advance(kSecond);
+  Transaction* touch = db_->Begin();
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(table->Update(touch, {i, std::string(100, '2')}).ok());
+  }
+  ASSERT_TRUE(db_->Commit(touch).ok());
+
+  auto snap = AsOfSnapshot::Create(db_.get(), "evict", t1);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_TRUE((*snap)->WaitForUndo().ok());
+  auto st = (*snap)->OpenTable("t");
+  ASSERT_TRUE(st.ok());
+  auto contents = SnapshotContents(&*st);
+  ASSERT_EQ(contents.size(), 2000u);
+  for (const auto& [k, v] : contents) ASSERT_EQ(v, v1) << k;
+  const uint64_t rewound = (*snap)->rewinder()->pages_rewound();
+  const uint64_t undone = (*snap)->rewinder()->records_undone();
+  EXPECT_GT(undone, 0u);
+  EXPECT_GT((*snap)->buffers()->stats().evictions, 0u);
+  EXPECT_GT((*snap)->side_file()->PageCount(), 0u);
+  // Evicted pages come back from the side file, not a second rewind.
+  EXPECT_EQ(*st->Count(), 2000u);
+  EXPECT_EQ((*snap)->rewinder()->pages_rewound(), rewound);
+  EXPECT_EQ((*snap)->rewinder()->records_undone(), undone);
 }
 
 TEST_F(SnapshotTest, FpiPeriodSkipsLogRegions) {

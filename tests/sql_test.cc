@@ -156,10 +156,12 @@ class SqlSessionTest : public ::testing::Test {
     auto db = Database::Create(dir_, opts);
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
-    session_ = std::make_unique<SqlSession>(db_.get());
+    conn_ = Connection::Attach(db_.get());
+    session_ = std::make_unique<SqlSession>(conn_.get());
   }
   void TearDown() override {
     session_.reset();
+    conn_.reset();
     db_.reset();
     std::filesystem::remove_all(dir_);
   }
@@ -167,6 +169,7 @@ class SqlSessionTest : public ::testing::Test {
   std::string dir_;
   std::unique_ptr<SimClock> clock_;
   std::unique_ptr<Database> db_;
+  std::unique_ptr<Connection> conn_;
   std::unique_ptr<SqlSession> session_;
 };
 
