@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "engine/redo_undo.h"
 #include "engine/table.h"
@@ -332,70 +331,19 @@ Status Database::RunRecovery() {
   uint64_t t0 = clock_->NowMicros();
 
   // --- Analysis: from the master checkpoint to the end of the log. ---
-  // The checkpoint may be fuzzy, so the end record's tables are merged
-  // with what the scan itself sees:
-  //  * DPT entries merge with MIN(recLSN) -- a page modified between
-  //    checkpoint begin and end is seen by the scan FIRST with a
-  //    too-late recLSN; the checkpoint's older entry must win or redo
-  //    would skip its unflushed pre-checkpoint records;
-  //  * ATT entries never resurrect a transaction whose COMMIT/ABORT the
-  //    scan already passed (a commit can land between the begin record
-  //    and the end record's capture).
   Lsn analysis_start = master_checkpoint_lsn_.load();
   if (analysis_start == kInvalidLsn ||
       analysis_start < wal_->oldest_lsn()) {
     analysis_start = wal_->oldest_lsn();
   }
   recovery_stats_.analysis_start_lsn = analysis_start;
-  std::unordered_map<TxnId, Lsn> att;          // loser candidates
-  std::unordered_set<TxnId> ended;             // committed/aborted in scan
-  std::unordered_map<PageId, Lsn> dpt;         // page -> recLSN
-  Lsn end_lsn = wal_->next_lsn();
-  wal::Cursor cur = wal_->OpenCursor();
-  REWIND_RETURN_IF_ERROR(cur.SeekTo(analysis_start));
-  while (cur.Valid() && cur.lsn() < end_lsn) {
-    const LogRecord& rec = cur.record();
-    recovery_stats_.analysis_records++;
-    if (rec.type == LogType::kCheckpointEnd) {
-      for (const AttEntry& e : rec.att) {
-        if (ended.count(e.txn_id) != 0) continue;
-        if (att.find(e.txn_id) == att.end()) att[e.txn_id] = e.last_lsn;
-      }
-      for (const DptEntry& e : rec.dpt) {
-        auto it = dpt.find(e.page_id);
-        if (it == dpt.end() || e.rec_lsn < it->second) {
-          dpt[e.page_id] = e.rec_lsn;
-        }
-      }
-    } else {
-      if (rec.txn_id != kInvalidTxnId) {
-        if (rec.type == LogType::kCommit || rec.type == LogType::kAbort) {
-          att.erase(rec.txn_id);
-          ended.insert(rec.txn_id);
-        } else {
-          att[rec.txn_id] = cur.lsn();
-        }
-      }
-      if (rec.IsPageRecord() && dpt.find(rec.page_id) == dpt.end()) {
-        dpt[rec.page_id] = cur.lsn();
-      }
-    }
-    REWIND_RETURN_IF_ERROR(cur.Next());
-  }
-  // A checkpoint ATT written by an older build can list a decided
-  // transaction whose completion record predates the analysis window
-  // (captured during its durability wait). Its chain head is then the
-  // COMMIT/ABORT record itself: drop it, or undo would walk past the
-  // completion record into committed history.
-  for (auto it = att.begin(); it != att.end();) {
-    REWIND_RETURN_IF_ERROR(cur.SeekToChain(it->second));
-    const LogType head = cur.record().type;
-    if (head == LogType::kCommit || head == LogType::kAbort) {
-      it = att.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  const Lsn end_lsn = wal_->next_lsn();
+  LogAnalysis analysis;
+  REWIND_RETURN_IF_ERROR(AnalyzeLog(wal_.get(), analysis_start, end_lsn,
+                                    /*with_dpt=*/true, &analysis));
+  recovery_stats_.analysis_records = analysis.records;
+  const std::unordered_map<TxnId, Lsn>& att = analysis.att;
+  const std::unordered_map<PageId, Lsn>& dpt = analysis.dpt;
   recovery_stats_.analysis_micros = clock_->NowMicros() - t0;
 
   const bool clean = att.empty() && dpt.empty();
@@ -418,6 +366,7 @@ Status Database::RunRecovery() {
   // with the archive tier those records may live below the active log's
   // start -- the cursor reads across the boundary transparently.
   if (redo_start < wal_->oldest_lsn()) redo_start = wal_->oldest_lsn();
+  wal::Cursor cur = wal_->OpenCursor();
   {
     replay::PagePool pool(threads,
                           [this](size_t, Lsn lsn, const LogRecord& rec) {
@@ -440,82 +389,34 @@ Status Database::RunRecovery() {
   }
   recovery_stats_.redo_micros = clock_->NowMicros() - t0;
 
-  // --- Undo: roll back losers with CLRs. ---
+  // --- Undo: roll back losers with CLRs, each like a runtime abort. ---
   // Partitioned by transaction: a loser's chain walk is sequential,
   // different losers are disjoint (user rows by two-phase locking,
   // system-transaction pages by the SMO's tree latch). System losers
   // go first and serially -- an in-flight SMO's structural changes
   // must be reverted before by-key undo re-traverses that tree, and
-  // at the split every user record on the tree predates the SMO.
+  // at the crash point every user record on the tree predates the SMO.
+  // A loser's last record carries its is_system flag. User losers then
+  // fan out across the workers (inline and in order at one thread).
+  // Undo can begin system transactions (splits), so first move the id
+  // allocator past every loser: one not yet adopted must never lend its
+  // id to a COMMIT that analysis would read as that loser's end.
   t0 = clock_->NowMicros();
   recovery_stats_.loser_transactions = att.size();
-  if (threads == 1) {
-    // Serial degenerate case: the classic interleaved walk, undoing
-    // the globally largest next-LSN first (identical to the
-    // pre-parallel path, CLR layout included).
-    PhysicalUndoApplier physical_applier(buffers_.get(), ops_.get());
-    LogicalUndoApplier logical_applier(write_ctx());
-    std::unordered_map<TxnId, Transaction*> losers;
-    for (const auto& [id, last] : att) {
-      losers[id] = txns_->AdoptForRecovery(id, last);
+  for (const auto& [id, last] : att) txns_->BumpTxnId(id + 1);
+  std::vector<AttEntry> user_losers;
+  for (const auto& [id, last] : att) {
+    REWIND_RETURN_IF_ERROR(cur.SeekToChain(last));
+    if (cur.record().is_system) {
+      REWIND_RETURN_IF_ERROR(UndoLoser(id, last));
+    } else {
+      user_losers.push_back({id, last});
     }
-    std::unordered_map<TxnId, Lsn> cursor(att.begin(), att.end());
-    while (!cursor.empty()) {
-      TxnId victim = 0;
-      Lsn max_lsn = 0;
-      for (const auto& [id, lsn] : cursor) {
-        if (lsn >= max_lsn) {
-          max_lsn = lsn;
-          victim = id;
-        }
-      }
-      if (max_lsn == kInvalidLsn) break;
-      REWIND_RETURN_IF_ERROR(cur.SeekToChain(max_lsn));
-      const LogRecord& rec = cur.record();
-      Transaction* txn = losers[victim];
-      if (rec.type == LogType::kClr) {
-        cursor[victim] = rec.undo_next_lsn;
-      } else if (rec.type == LogType::kBegin) {
-        cursor[victim] = kInvalidLsn;
-      } else {
-        UndoApplier* applier =
-            rec.is_system ? static_cast<UndoApplier*>(&physical_applier)
-                          : static_cast<UndoApplier*>(&logical_applier);
-        REWIND_RETURN_IF_ERROR(applier->UndoRecord(txn, max_lsn, rec));
-        cursor[victim] = rec.prev_lsn;
-      }
-      if (cursor[victim] == kInvalidLsn) {
-        LogRecord abort;
-        abort.type = LogType::kAbort;
-        abort.txn_id = victim;
-        abort.prev_lsn = txn->last_lsn;
-        wal_->Append(abort);
-        txns_->Forget(txn);
-        cursor.erase(victim);
-      }
-    }
-  } else {
-    // Classify each loser by its last record's is_system flag (every
-    // record carries it), then: system losers serially, user losers
-    // fanned out across the replay workers.
-    std::vector<AttEntry> system_losers;
-    std::vector<AttEntry> user_losers;
-    for (const auto& [id, last] : att) {
-      REWIND_RETURN_IF_ERROR(cur.SeekToChain(last));
-      if (cur.record().is_system) {
-        system_losers.push_back({id, last});
-      } else {
-        user_losers.push_back({id, last});
-      }
-    }
-    for (const AttEntry& e : system_losers) {
-      REWIND_RETURN_IF_ERROR(UndoLoser(e.txn_id, e.last_lsn));
-    }
-    REWIND_RETURN_IF_ERROR(replay::ParallelFor(
-        threads, user_losers.size(), [&](size_t i) {
-          return UndoLoser(user_losers[i].txn_id, user_losers[i].last_lsn);
-        }));
   }
+  REWIND_RETURN_IF_ERROR(replay::ParallelFor(
+      threads, user_losers.size(), [&](size_t i) {
+        return UndoLoser(user_losers[i].txn_id, user_losers[i].last_lsn);
+      }));
   recovery_stats_.undo_micros = clock_->NowMicros() - t0;
   REWIND_RETURN_IF_ERROR(wal_->FlushAll());
   return Checkpoint();

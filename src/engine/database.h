@@ -126,9 +126,9 @@ struct DatabaseOptions {
   /// tier on; segments pinned by a live snapshot are never dropped.
   uint64_t archive_retention_micros = 0;
   /// Worker threads for parallel replay: crash-recovery redo/undo and
-  /// snapshot background undo run a dispatcher that partitions log
-  /// records across this many workers (redo by page, undo by loser
-  /// transaction). 1 keeps the serial path as the degenerate case.
+  /// a snapshot's background undo pass partition their work across
+  /// this many workers (redo by page, crash undo by loser transaction,
+  /// snapshot undo by tree). 1 runs the same code inline, in order.
   /// The default honours the REWINDDB_REPLAY_THREADS environment
   /// variable (how CI runs the whole suite with workers on).
   int replay_threads = replay::DefaultReplayThreads();
@@ -141,8 +141,9 @@ struct DatabaseOptions {
   /// pages are recovered individually on first access (per-page rewind
   /// entered through the mount's page log index). Mount cost becomes
   /// O(1) in log-since-backup; first-query latency becomes O(working
-  /// set). The eager path (default) stays the oracle: both produce
-  /// byte-identical page images (tests/lazy_mount_test.cc). Overridable
+  /// set). The eager path (default) stays the oracle: both produce the
+  /// same rows, and byte-identical page images unless undo splits pages
+  /// of several trees (tests/lazy_mount_test.cc). Overridable
   /// per session with SET MOUNT_MODE. The default honours the
   /// REWINDDB_LAZY_MOUNT environment variable.
   bool lazy_mount = DefaultLazyMount();

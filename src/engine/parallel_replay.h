@@ -13,13 +13,16 @@
 //    a slow worker back-pressures the dispatcher instead of buffering
 //    the whole log span.
 //
-//  * ParallelFor -- undo, partitioned by loser transaction. A
-//    transaction's chain walk is inherently sequential (each CLR names
+//  * ParallelFor -- undo. Crash restart partitions it by loser
+//    transaction: a chain walk is inherently sequential (each CLR names
 //    the next record to undo), but different losers' effects are
-//    disjoint: user rows by two-phase locking, system-transaction pages
-//    by the tree latch their SMO held. Callers undo system losers
+//    disjoint -- user rows by two-phase locking, system-transaction
+//    pages by the tree latch their SMO held. It undoes system losers
 //    first (they revert structure the by-key user undo re-traverses),
-//    then fan user losers out here.
+//    then fans user losers out here. A snapshot's background pass
+//    partitions by tree: each tree's loser records are undone in
+//    descending-LSN order by one worker, and trees share no page, so it
+//    fans every tree out here.
 //
 // Error contract: the first failing apply poisons the pool; remaining
 // queued work is drained without being applied, Dispatch tells the
@@ -44,10 +47,10 @@
 namespace rewinddb {
 namespace replay {
 
-/// Default worker count for DatabaseOptions::replay_threads: 1 (the
-/// serial path) unless the REWINDDB_REPLAY_THREADS environment variable
-/// names another value (how CI's parallel-replay test variant runs the
-/// whole suite with workers on). Clamped to [1, 64].
+/// Default worker count for DatabaseOptions::replay_threads: 1 (no
+/// worker threads) unless the REWINDDB_REPLAY_THREADS environment
+/// variable names another value (how CI's parallel-replay test variant
+/// runs the whole suite with workers on). Clamped to [1, 64].
 int DefaultReplayThreads();
 
 /// Page-partitioned record fan-out (see file comment). With

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "btree/btree.h"
 #include "engine/read_core.h"
@@ -246,34 +245,32 @@ Result<std::unique_ptr<AsOfSnapshot>> AsOfSnapshot::Create(
 
   std::unique_ptr<AsOfSnapshot> snap(
       new AsOfSnapshot(primary, name, split, mode));
-  if (mode == MountMode::kEager) {
-    REWIND_RETURN_IF_ERROR(snap->Recover());
-  } else {
-    // The whole lazy mount: split search (above, waypoint-narrowed) +
-    // store setup. Analysis, the page log index and loser undo belong
-    // to the sweeper; queries recover what they touch meanwhile.
+  // Pin the log the mount rewinds from before anything can fail: the
+  // destructor unregisters the anchor on every path.
+  primary->RegisterSnapshotAnchor(split.checkpoint_lsn);
+  snap->stats_.split_lsn = split.split_lsn;
+  snap->stats_.boundary_time = split.boundary_time;
+  snap->stats_.checkpoint_lsn = split.checkpoint_lsn;
+  snap->stats_.lazy = mode == MountMode::kLazy;
+  snap->stats_.replay_threads = std::max(1, primary->options().replay_threads);
+  if (mode == MountMode::kLazy) {
     snap->mount_end_lsn_ = primary->log()->next_lsn();
     snap->page_index_ = std::make_unique<PageLogIndex>(split.split_lsn);
-    REWIND_RETURN_IF_ERROR(snap->SetupStorage());
-    snap->stats_.split_lsn = split.split_lsn;
-    snap->stats_.boundary_time = split.boundary_time;
-    snap->stats_.checkpoint_lsn = split.checkpoint_lsn;
-    snap->stats_.lazy = true;
   }
-  primary->RegisterSnapshotAnchor(snap->split_.checkpoint_lsn);
+  REWIND_RETURN_IF_ERROR(snap->SetupStorage());
+  // An eager mount runs analysis, and the loser chain walk that
+  // re-acquires the losers' row locks, before it opens (section 5.2).
+  // The whole lazy mount is the split search (above, waypoint-narrowed)
+  // + store setup: its analysis runs in the background, and queries
+  // recover what they touch meanwhile.
+  if (mode == MountMode::kEager) REWIND_RETURN_IF_ERROR(snap->Analyze());
   primary->BumpLazyMount(mode == MountMode::kLazy);
   snap->stats_.create_micros = clock->NowMicros() - t0;
 
   // Open for queries now; undo the in-flight transactions' effects in
-  // the background (section 5.2) -- eagerly for the whole snapshot, or
-  // tree-by-tree behind the sweeper.
-  snap->undo_thread_ = std::thread([s = snap.get()] {
-    if (s->lazy()) {
-      s->SweeperMain();
-    } else {
-      s->BackgroundUndo();
-    }
-  });
+  // the background (section 5.2).
+  snap->undo_thread_ =
+      std::thread([s = snap.get()] { s->BackgroundRecovery(); });
   return snap;
 }
 
@@ -314,303 +311,70 @@ Status AsOfSnapshot::ScanAnalysis(std::unordered_map<TxnId, Lsn>* att) {
     if (ckpts[i].begin_lsn <= split_.split_lsn) ckpt = static_cast<int>(i);
   }
   uint64_t records = 0;
-  wal::Cursor cur = log->OpenCursor();
   for (;; ckpt--) {
     const Lsn start = ckpt >= 0 ? ckpts[ckpt].begin_lsn : log->oldest_lsn();
-    att->clear();
-    std::unordered_set<TxnId> ended;
-    bool passed_end = false;
-    REWIND_RETURN_IF_ERROR(cur.SeekTo(start));
-    while (cur.Valid() && cur.lsn() <= split_.split_lsn) {
-      const LogRecord& rec = cur.record();
-      records++;
-      if (rec.type == LogType::kCheckpointEnd) {
-        passed_end = true;
-        for (const AttEntry& e : rec.att) {
-          // Never resurrect a transaction whose COMMIT/ABORT the scan
-          // already passed: a commit can land between the checkpoint's
-          // begin record and the end record's ATT capture.
-          if (ended.count(e.txn_id) != 0) continue;
-          if (att->find(e.txn_id) == att->end()) {
-            (*att)[e.txn_id] = e.last_lsn;
-          }
-        }
-      } else if (rec.txn_id != kInvalidTxnId) {
-        if (rec.type == LogType::kCommit || rec.type == LogType::kAbort) {
-          att->erase(rec.txn_id);
-          ended.insert(rec.txn_id);
-        } else {
-          (*att)[rec.txn_id] = cur.lsn();
-        }
-      }
-      REWIND_RETURN_IF_ERROR(cur.Next());
-    }
-    if (passed_end || ckpt < 0) {
+    LogAnalysis a;
+    // The record at the SplitLSN is the last one the scan includes.
+    REWIND_RETURN_IF_ERROR(AnalyzeLog(log, start, split_.split_lsn + 1,
+                                      /*with_dpt=*/false, &a));
+    records += a.records;
+    if (a.passed_checkpoint_end || ckpt < 0) {
       std::lock_guard<std::mutex> sg(stats_mu_);
       stats_.analysis_start_lsn = start;
       stats_.analysis_records = records;
+      *att = std::move(a.att);
       return Status::OK();
     }
   }
 }
 
-Status AsOfSnapshot::Recover() {
-  wal::Wal* log = primary_->log();
-  REWIND_RETURN_IF_ERROR(SetupStorage());
-
-  Clock* clock = primary_->clock();
-  uint64_t t_analysis = clock->NowMicros();
-  std::unordered_map<TxnId, Lsn> att;
-  REWIND_RETURN_IF_ERROR(ScanAnalysis(&att));
-  stats_.analysis_micros = clock->NowMicros() - t_analysis;
-
-  // Lock re-acquisition: walk each loser's chain and take X locks on
-  // every row it touched, so queries cannot observe uncommitted
-  // effects before the background undo erases them. This is the
-  // redo-stage work of snapshot recovery -- page redo itself needs no
-  // IO because the creation checkpoint flushed everything (section
-  // 5.2), so what remains of "redo" is rebuilding the lock table.
-  uint64_t t_redo = clock->NowMicros();
-  wal::Cursor chain = log->OpenCursor();
-  for (const auto& [txn_id, last_lsn] : att) {
-    REWIND_RETURN_IF_ERROR(chain.SeekToChain(last_lsn));
-    // A checkpoint ATT written by an older build can list a decided
-    // transaction whose completion record predates the analysis window
-    // (captured during its durability wait). Its chain head is then the
-    // COMMIT/ABORT record itself: not a loser, nothing to undo.
-    if (chain.Valid() && (chain.record().type == LogType::kCommit ||
-                          chain.record().type == LogType::kAbort)) {
-      continue;
-    }
-    losers_.push_back({txn_id, last_lsn});
-    while (chain.Valid()) {
-      const LogRecord& rec = chain.record();
-      LogType op = rec.type == LogType::kClr ? rec.clr_op : rec.type;
-      if ((op == LogType::kInsert || op == LogType::kDelete ||
-           op == LogType::kUpdate) &&
-          !rec.image.empty()) {
-        std::string key = SlottedPage::EntryKey(rec.image).ToString();
-        locks_.GrantForRecovery(txn_id, RowLockKey(rec.tree_id, key),
-                                LockMode::kExclusive);
-        stats_.locks_reacquired++;
-      }
-      if (rec.type == LogType::kBegin) break;
-      if (rec.type == LogType::kClr) {
-        REWIND_RETURN_IF_ERROR(chain.FollowUndoNext());
-      } else {
-        REWIND_RETURN_IF_ERROR(chain.FollowPrev());
-      }
-    }
-  }
-  stats_.redo_micros = clock->NowMicros() - t_redo;
-  stats_.split_lsn = split_.split_lsn;
-  stats_.boundary_time = split_.boundary_time;
-  stats_.checkpoint_lsn = split_.checkpoint_lsn;
-  stats_.loser_transactions = losers_.size();
-  return Status::OK();
-}
-
-void AsOfSnapshot::BackgroundUndo() {
-  Clock* clock = primary_->clock();
-  uint64_t t0 = clock->NowMicros();
-  int threads = primary_->options().replay_threads;
-  if (threads < 1) threads = 1;
-  stats_.replay_threads = threads;
-
-  Status status;
-  if (threads == 1) {
-    status = BackgroundUndoSerial();
-  } else {
-    // Partition by loser transaction: a chain walk is sequential, but
-    // different losers' effects are disjoint (user rows by two-phase
-    // locking, an in-flight SMO's pages by the tree latch it held).
-    // System losers go first, serially: their structural changes must
-    // be reverted before by-key user undo re-traverses the tree, and
-    // every loser user record on that tree predates the SMO.
-    std::vector<AttEntry> system_losers;
-    std::vector<AttEntry> user_losers;
-    wal::Cursor classify = primary_->log()->OpenCursor();
-    for (const AttEntry& e : losers_) {
-      status = classify.SeekToChain(e.last_lsn);
-      if (!status.ok()) break;
-      if (classify.record().is_system) {
-        system_losers.push_back(e);
-      } else {
-        user_losers.push_back(e);
-      }
-    }
-    if (status.ok()) {
-      for (const AttEntry& e : system_losers) {
-        status = UndoLoserChain(e);
-        if (!status.ok()) break;
-      }
-    }
-    if (status.ok()) {
-      status = replay::ParallelFor(
-          threads, user_losers.size(),
-          [&](size_t i) { return UndoLoserChain(user_losers[i]); });
-    }
-  }
-  // Write the undo output (and any other dirty page, such as one a
-  // query recovered meanwhile) to the side file as the pass ends.
-  // Eviction write-back already keeps a dirty page across eviction;
-  // this flush settles the side file once undo is complete.
-  if (status.ok()) status = buffers_->FlushAll();
-  {
-    std::lock_guard<std::mutex> sg(stats_mu_);
-    stats_.undo_micros = clock->NowMicros() - t0;
-  }
-  undo_status_ = status;
-  // Release any remaining locks (error path) so queries do not hang.
-  for (const AttEntry& e : losers_) locks_.ReleaseAll(e.txn_id);
-  undo_complete_.store(true);
-}
-
-Status AsOfSnapshot::BackgroundUndoSerial() {
-  wal::Cursor reader = primary_->log()->OpenCursor();
-  std::unordered_map<TxnId, Lsn> cursor;
-  for (const AttEntry& e : losers_) cursor[e.txn_id] = e.last_lsn;
-
-  Status status;
-  while (!cursor.empty() && status.ok()) {
-    TxnId victim = 0;
-    Lsn max_lsn = 0;
-    for (const auto& [id, lsn] : cursor) {
-      if (lsn >= max_lsn) {
-        max_lsn = lsn;
-        victim = id;
-      }
-    }
-    if (max_lsn == kInvalidLsn) break;
-    status = reader.SeekToChain(max_lsn);
-    if (!status.ok()) break;
-    const LogRecord& rec = reader.record();
-    if (rec.type == LogType::kClr) {
-      cursor[victim] = rec.undo_next_lsn;
-    } else if (rec.type == LogType::kBegin) {
-      cursor[victim] = kInvalidLsn;
-    } else if (rec.IsPageRecord()) {
-      // Undo on the snapshot's copy of the page: fetched through the
-      // rewind path, modified in place, persisted to the side file --
-      // never logged (the snapshot is not a database of record).
-      const bool row_op = rec.type == LogType::kInsert ||
-                          rec.type == LogType::kDelete ||
-                          rec.type == LogType::kUpdate;
-      if (row_op && !rec.is_system) {
-        // User rows may have moved under committed SMOs: undo by key.
-        status = UndoUserRowUnlogged(rec);
-      } else {
-        // System-transaction records: nothing else touched their pages
-        // between the record and the split, so slot-exact undo is safe.
-        std::unique_lock<std::shared_mutex> tl(*TreeLatch(rec.tree_id));
-        auto page = buffers_->FetchPage(rec.page_id, AccessMode::kWrite);
-        if (!page.ok()) {
-          status = page.status();
-          break;
-        }
-        status = ApplyUndo(page->mutable_data(), rec);
-        if (status.ok()) page->MarkDirtyUnlogged();
-      }
-      if (!status.ok()) break;
-      cursor[victim] = rec.prev_lsn;
-    } else {
-      cursor[victim] = rec.prev_lsn;
-    }
-    if (cursor[victim] == kInvalidLsn) {
-      locks_.ReleaseAll(victim);
-      cursor.erase(victim);
-    }
-  }
-  return status;
-}
-
-// ------------------------- lazy-mount sweeper --------------------------
-
-void AsOfSnapshot::SweeperMain() {
-  Clock* clock = primary_->clock();
-  uint64_t t0 = clock->NowMicros();
-
-  uint64_t t_analysis = clock->NowMicros();
-  Status s = SweeperAnalysis();
-  {
-    std::lock_guard<std::mutex> sg(stats_mu_);
-    stats_.analysis_micros = clock->NowMicros() - t_analysis;
-  }
+Status AsOfSnapshot::Analyze() {
+  Status s = BuildTreeWork();
   {
     std::lock_guard<std::mutex> lk(trees_mu_);
     analysis_ready_ = true;
     analysis_status_ = s;
   }
   trees_cv_.notify_all();
-
-  if (s.ok()) {
-    // Per-page chain index over (split, mount_end]. A failed build is
-    // tolerated: the index only ever serves positive hits, so a partial
-    // index is sound and readers fall back to current-image rewinds.
-    uint64_t t_index = clock->NowMicros();
-    Status bs = page_index_->Build(primary_->log(), mount_end_lsn_, clock);
-    (void)bs;
-    std::lock_guard<std::mutex> sg(stats_mu_);
-    stats_.index_build_micros = clock->NowMicros() - t_index;
-  }
-
-  if (s.ok()) {
-    // Complete every tree's loser undo so a long-lived mount converges
-    // to the eager end state even for trees no query ever touches.
-    // A tree that fails stays kPending (progress kept) and does not
-    // stop the sweep of the others.
-    std::vector<TreeId> trees;
-    {
-      std::lock_guard<std::mutex> lk(trees_mu_);
-      for (const auto& [tree, tr] : tree_work_) trees.push_back(tree);
-    }
-    for (TreeId tree : trees) {
-      Status ts = EnsureTreeRecoveredImpl(tree, /*on_demand=*/false);
-      if (!ts.ok() && s.ok()) s = ts;
-    }
-  }
-  // Write the undo output (and any other dirty page, such as one a
-  // query recovered meanwhile) to the side file as the sweep ends.
-  // Eviction write-back already keeps a dirty page across eviction;
-  // this flush settles the side file once undo is complete.
-  if (s.ok()) s = buffers_->FlushAll();
-  {
-    std::lock_guard<std::mutex> sg(stats_mu_);
-    stats_.undo_micros = clock->NowMicros() - t0;
-  }
-  undo_status_ = s;
-  undo_complete_.store(true);
-  if (s.ok()) primary_->BumpSweepsCompleted();
+  return s;
 }
 
-Status AsOfSnapshot::SweeperAnalysis() {
+Status AsOfSnapshot::BuildTreeWork() {
+  Clock* clock = primary_->clock();
+  const uint64_t t_analysis = clock->NowMicros();
   std::unordered_map<TxnId, Lsn> att;
   REWIND_RETURN_IF_ERROR(ScanAnalysis(&att));
+  const uint64_t t_walk = clock->NowMicros();
 
-  // Per-tree worklists: each loser chain's page records bucketed by
-  // tree, applied later in descending-LSN order -- the serial eager
-  // undo order restricted to the tree, which is what makes lazy pages
-  // byte-identical to eager ones. No lock reacquisition here: a tree's
-  // first query waits on EnsureTreeRecovered instead of on row locks.
-  // CLRs are followed through undo_next (their compensated region is
-  // already undone in the log, exactly as eager undo skips it); decided
-  // chain heads from old-build checkpoint ATTs are dropped.
+  // One walk of every loser chain. Its page records are bucketed by
+  // tree, to be undone in descending-LSN order per tree. CLRs are
+  // followed through undo_next: their compensated region is already
+  // undone in the log. An eager mount also takes an X lock on every
+  // row the loser touched, so queries cannot observe uncommitted
+  // effects before the background pass erases them. That is the
+  // redo-stage work of snapshot recovery: page redo needs no IO
+  // because the creation checkpoint flushed everything (section 5.2).
+  // A lazy mount takes no locks: a tree's first query waits on
+  // EnsureTreeRecovered instead.
   std::map<TreeId, TreeRecovery> work;
+  size_t locks = 0;
   wal::Cursor chain = primary_->log()->OpenCursor();
-  size_t losers = 0;
   for (const auto& [txn_id, last_lsn] : att) {
-    (void)txn_id;
-    REWIND_RETURN_IF_ERROR(chain.SeekToChain(last_lsn));
-    if (chain.Valid() && (chain.record().type == LogType::kCommit ||
-                          chain.record().type == LogType::kAbort)) {
-      continue;
-    }
-    losers++;
+    losers_.push_back(txn_id);
     Lsn next = last_lsn;
     while (next != kInvalidLsn) {
       REWIND_RETURN_IF_ERROR(chain.SeekToChain(next));
       if (!chain.Valid()) break;
       const LogRecord& rec = chain.record();
+      const LogType op = rec.type == LogType::kClr ? rec.clr_op : rec.type;
+      if (!lazy() && !rec.image.empty() &&
+          (op == LogType::kInsert || op == LogType::kDelete ||
+           op == LogType::kUpdate)) {
+        std::string key = SlottedPage::EntryKey(rec.image).ToString();
+        locks_.GrantForRecovery(txn_id, RowLockKey(rec.tree_id, key),
+                                LockMode::kExclusive);
+        locks++;
+      }
       if (rec.type == LogType::kClr) {
         next = rec.undo_next_lsn;
         continue;
@@ -626,14 +390,70 @@ Status AsOfSnapshot::SweeperAnalysis() {
   }
   {
     std::lock_guard<std::mutex> sg(stats_mu_);
-    stats_.loser_transactions = losers;
+    stats_.analysis_micros = t_walk - t_analysis;
+    stats_.redo_micros = clock->NowMicros() - t_walk;
+    stats_.loser_transactions = att.size();
+    stats_.locks_reacquired = locks;
   }
-  {
-    std::lock_guard<std::mutex> lk(trees_mu_);
-    tree_work_ = std::move(work);
-  }
+  std::lock_guard<std::mutex> lk(trees_mu_);
+  tree_work_ = std::move(work);
   return Status::OK();
 }
+
+void AsOfSnapshot::BackgroundRecovery() {
+  Clock* clock = primary_->clock();
+  const uint64_t t0 = clock->NowMicros();
+  Status s;
+  if (lazy()) {
+    s = Analyze();
+    if (s.ok()) {
+      // Per-page chain index over (split, mount_end]. A failed build is
+      // tolerated: the index only ever serves positive hits, so a
+      // partial index is sound and readers fall back to current-image
+      // rewinds.
+      const uint64_t t_index = clock->NowMicros();
+      Status bs = page_index_->Build(primary_->log(), mount_end_lsn_, clock);
+      (void)bs;
+      std::lock_guard<std::mutex> sg(stats_mu_);
+      stats_.index_build_micros = clock->NowMicros() - t_index;
+    }
+  }
+  if (s.ok()) {
+    // Every tree's loser undo, so a mount converges to the fully
+    // undone state even for trees no query ever touches. Trees fan out
+    // across the replay workers: a tree's worklist is sequential, but
+    // different trees share no page. The first failure stops the
+    // sweep; a failed or unswept tree stays kPending (progress kept)
+    // and a lazy mount's next query of it resumes the work.
+    std::vector<TreeId> trees;
+    {
+      std::lock_guard<std::mutex> lk(trees_mu_);
+      for (const auto& [tree, tr] : tree_work_) trees.push_back(tree);
+    }
+    s = replay::ParallelFor(stats_.replay_threads, trees.size(),
+                            [&](size_t i) {
+                              return EnsureTreeRecoveredImpl(
+                                  trees[i], /*on_demand=*/false);
+                            });
+  }
+  // Write the undo output (and any other dirty page, such as one a
+  // query recovered meanwhile) to the side file as the pass ends.
+  // Eviction write-back already keeps a dirty page across eviction;
+  // this flush settles the side file once undo is complete.
+  if (s.ok()) s = buffers_->FlushAll();
+  {
+    std::lock_guard<std::mutex> sg(stats_mu_);
+    stats_.undo_micros = clock->NowMicros() - t0;
+  }
+  undo_status_ = s;
+  // An eager mount's row locks gate queries until the pass ends (the
+  // error path included, so queries do not hang).
+  for (TxnId id : losers_) locks_.ReleaseAll(id);
+  undo_complete_.store(true);
+  if (lazy() && s.ok()) primary_->BumpSweepsCompleted();
+}
+
+// ---------------------------- per-tree undo ---------------------------
 
 Status AsOfSnapshot::EnsureTreeRecovered(TreeId tree) {
   if (!lazy()) return Status::OK();
@@ -718,40 +538,6 @@ Status AsOfSnapshot::CheckRecoveryFault(RecoveryFaultPoint point,
 void AsOfSnapshot::NotePageRecovered(bool via_fpi_index) {
   pages_recovered_.fetch_add(1, std::memory_order_relaxed);
   primary_->BumpPagesRecoveredOnDemand(via_fpi_index);
-}
-
-Status AsOfSnapshot::UndoLoserChain(const AttEntry& loser) {
-  wal::Cursor reader = primary_->log()->OpenCursor();
-  Lsn next = loser.last_lsn;
-  while (next != kInvalidLsn) {
-    REWIND_RETURN_IF_ERROR(reader.SeekToChain(next));
-    if (!reader.Valid()) break;  // empty chain head
-    const LogRecord& rec = reader.record();
-    if (rec.type == LogType::kClr) {
-      next = rec.undo_next_lsn;
-      continue;
-    }
-    if (rec.type == LogType::kBegin) break;
-    if (rec.IsPageRecord()) {
-      const bool row_op = rec.type == LogType::kInsert ||
-                          rec.type == LogType::kDelete ||
-                          rec.type == LogType::kUpdate;
-      if (row_op && !rec.is_system) {
-        REWIND_RETURN_IF_ERROR(UndoUserRowUnlogged(rec));
-      } else {
-        std::unique_lock<std::shared_mutex> tl(*TreeLatch(rec.tree_id));
-        REWIND_ASSIGN_OR_RETURN(
-            PageGuard page,
-            buffers_->FetchPage(rec.page_id, AccessMode::kWrite));
-        REWIND_RETURN_IF_ERROR(ApplyUndo(page.mutable_data(), rec));
-        page.MarkDirtyUnlogged();
-      }
-    }
-    next = rec.prev_lsn;
-  }
-  // This loser's effects are gone: let queries through its rows now.
-  locks_.ReleaseAll(loser.txn_id);
-  return Status::OK();
 }
 
 Status AsOfSnapshot::UndoUserRowUnlogged(const LogRecord& rec) {

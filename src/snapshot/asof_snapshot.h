@@ -14,13 +14,17 @@
 //    the snapshot's buffer pool leaves the B-tree, catalog and queries
 //    entirely oblivious to time travel.
 //
-//  * Snapshot recovery (section 5.2) -- analysis scans the log between
-//    the checkpoint preceding the SplitLSN and the SplitLSN to find
-//    transactions in flight at that point; their row locks are
-//    re-acquired (redo itself needs no page reads because snapshot
-//    creation checkpoints the primary first); then a BACKGROUND thread
-//    undoes the in-flight transactions' effects on snapshot pages while
-//    queries are already allowed.
+//  * Snapshot recovery (section 5.2) -- analysis (AnalyzeLog, shared
+//    with crash restart) scans the log between the checkpoint preceding
+//    the SplitLSN and the SplitLSN to find transactions in flight at
+//    that point. One walk of their chains buckets their page records
+//    by tree and, for an eager mount, re-acquires their row locks (redo
+//    itself needs no page reads because eager creation checkpoints the
+//    primary first). A BACKGROUND pass then undoes each tree's records
+//    in descending-LSN order on the snapshot's pages, trees fanned out
+//    across DatabaseOptions::replay_threads workers, while queries are
+//    already allowed. Both mount modes run this one pass; they differ
+//    only in when analysis runs and in how queries wait for undo.
 //
 //  * SnapshotTable -- read-only typed access mirroring Table, with the
 //    lock coordination that makes pre-undo-completion queries correct:
@@ -65,16 +69,22 @@ class AsOfSnapshot;
 /// default; SET MOUNT_MODE overrides per session).
 ///
 ///  * kEager -- the section 5.1/5.2 pipeline: creation checkpoint,
-///    inline analysis + loser-lock reacquisition, background undo of
-///    every loser. Create cost grows with log-since-checkpoint.
+///    inline analysis + loser-lock reacquisition, then the background
+///    pass undoes every tree while row locks hold queries off the
+///    losers' rows. Create cost grows with log-since-checkpoint.
 ///  * kLazy -- create records only the SplitLSN (waypoint-narrowed
-///    search) and returns; a background sweeper runs analysis, builds
-///    the per-page log index and completes loser undo, while queries
-///    recover exactly what they touch: each page is rewound on first
-///    access and each TREE's loser records are undone before its first
-///    query (by key, below -- per-page loser undo would be unsound
-///    because committed structure modifications move in-flight rows
-///    between pages). Both modes produce byte-identical pages.
+///    search) and returns; the background pass first runs analysis and
+///    builds the per-page log index, while queries recover exactly what
+///    they touch: each page is rewound on first access and each TREE's
+///    loser records are undone before its first query (by key, below
+///    -- per-page loser undo would be unsound because committed
+///    structure modifications move in-flight rows between pages).
+/// Both modes undo a tree's records in the same order, so they produce
+/// the same rows at any replay_threads, and byte-identical pages unless
+/// undo splits pages of two or more trees: the snapshot-private page ids
+/// those unlogged splits take come from one counter, in the order the
+/// trees happen to be recovered, and parents and sibling links store
+/// them.
 enum class MountMode { kEager, kLazy };
 
 /// Test-only fault injection into the lazy page-recovery path. The
@@ -171,7 +181,7 @@ class AsOfSnapshot {
     Lsn checkpoint_lsn = kInvalidLsn;
     /// In-flight transactions at the SplitLSN (undone in background).
     size_t loser_transactions = 0;
-    /// Row locks re-acquired during the redo pass.
+    /// Row locks re-acquired by the loser chain walk (kEager only).
     size_t locks_reacquired = 0;
     /// Simulated+real microseconds spent creating the snapshot
     /// (checkpoint + SplitLSN search + analysis).
@@ -189,19 +199,20 @@ class AsOfSnapshot {
     /// Records the analysis scan decoded, a restarted scan's first pass
     /// included.
     uint64_t analysis_records = 0;
-    /// The redo-stage work: loser lock re-acquisition (page redo needs
-    /// no IO -- the creation checkpoint already flushed everything).
+    /// The redo-stage work: the loser chain walk that builds the per-tree
+    /// worklists and, under kEager, re-acquires the losers' row locks
+    /// (page redo needs no IO -- the creation checkpoint already flushed
+    /// everything).
     uint64_t redo_micros = 0;
-    /// Background undo of in-flight transactions. Written by the undo
-    /// thread; read it only after WaitForUndo().
+    /// The background pass. Written by its thread; read it only after
+    /// WaitForUndo().
     uint64_t undo_micros = 0;
-    /// Worker count the background undo ran with.
+    /// Workers the background pass fanned trees out over (both modes).
     int replay_threads = 1;
     /// Mount mode this snapshot was created with. Under kLazy,
-    /// analysis_micros and undo_micros are the SWEEPER's background
-    /// cost (read after WaitForUndo); create_micros covers only the
-    /// split search + store setup -- the O(1) mount claim fig9
-    /// measures.
+    /// analysis_micros and redo_micros are part of the background pass
+    /// (read after WaitForUndo); create_micros covers only the split
+    /// search + store setup -- the O(1) mount claim fig9 measures.
     bool lazy = false;
     /// Per-page log index build time (lazy only; background).
     uint64_t index_build_micros = 0;
@@ -244,8 +255,8 @@ class AsOfSnapshot {
   bool RowBusy(TreeId tree, const std::string& key);
 
   /// Returns a consistent copy. Timing/loser fields filled by the
-  /// background undo thread (eager) or sweeper (lazy) settle only
-  /// after WaitForUndo(); reading earlier is safe but may see zeros.
+  /// background pass settle only after WaitForUndo(); reading earlier
+  /// is safe but may see zeros.
   CreationStats creation_stats() const {
     std::lock_guard<std::mutex> g(stats_mu_);
     return stats_;
@@ -264,7 +275,7 @@ class AsOfSnapshot {
   /// Block until this tree's loser records are undone on the
   /// snapshot's pages (no-op under kEager, and for trees no loser
   /// touched). Called by the query surface before it reads a tree;
-  /// also driven tree-by-tree by the background sweeper. Idempotent,
+  /// also driven tree-by-tree by the background pass. Idempotent,
   /// safe from many threads; on failure the tree stays pending and a
   /// later call RESUMES where the failed one stopped, so an injected
   /// fault never poisons the tree.
@@ -295,31 +306,25 @@ class AsOfSnapshot {
   /// inside that checkpoint's window, before its end record -- and
   /// return the in-flight transactions (ATT) at the split.
   Status ScanAnalysis(std::unordered_map<TxnId, Lsn>* att);
-  Status Recover();
-  void BackgroundUndo();
-  /// Lazy-mount background thread: analysis -> per-tree loser
-  /// worklists -> page log index build -> per-tree undo completion.
-  void SweeperMain();
-  /// Analysis + loser chain walks building tree_work_ (lazy; no lock
-  /// reacquisition -- a tree's first query waits on EnsureTreeRecovered
-  /// instead of on row locks).
-  Status SweeperAnalysis();
+  /// BuildTreeWork, then publish its outcome to EnsureTreeRecovered's
+  /// waiters. Inline in Create under kEager, first in the background
+  /// pass under kLazy.
+  Status Analyze();
+  /// ScanAnalysis + one walk of every loser chain: fills tree_work_
+  /// and losers_, and under kEager re-acquires the losers' row locks.
+  Status BuildTreeWork();
+  /// The background pass (both modes): [kLazy: Analyze, page log index
+  /// build] -> every tree's undo through ParallelFor(replay_threads)
+  /// -> side-file flush -> release the row locks.
+  void BackgroundRecovery();
   struct TreeRecovery;
   /// Apply tree-restricted loser undo in descending-LSN order,
   /// resuming at tr->applied. Caller holds the kRunning claim.
   Status ApplyTreeWork(TreeId tree, TreeRecovery* tr);
-  /// Shared claim/wait state machine behind EnsureTreeRecovered;
-  /// `on_demand` marks query-triggered (vs sweeper-driven) completion
-  /// for the stats counters.
+  /// Shared claim/wait state machine behind EnsureTreeRecovered and
+  /// the background pass; `on_demand` marks query-triggered (vs
+  /// background) completion for the stats counters.
   Status EnsureTreeRecoveredImpl(TreeId tree, bool on_demand);
-  /// The serial (replay_threads == 1) undo walk: all losers
-  /// interleaved, globally largest next-LSN first (the pre-parallel
-  /// path, kept as the degenerate case).
-  Status BackgroundUndoSerial();
-  /// Undo one loser transaction's whole chain on the snapshot's pages,
-  /// then release its re-acquired row locks. Thread-safe: row undo and
-  /// physical undo both latch the record's tree.
-  Status UndoLoserChain(const AttEntry& loser);
   /// Unlogged logical undo of a user row record on the snapshot's
   /// pages: locate the row by key (it may have moved under committed
   /// structure modifications before the split) and apply the inverse
@@ -345,8 +350,9 @@ class AsOfSnapshot {
   std::unique_ptr<Catalog> catalog_;
   LockManager locks_;  // loser locks + query coordination
 
-  /// Losers: txn id -> last LSN at the split point.
-  std::vector<AttEntry> losers_;
+  /// Transactions in flight at the split point. An eager mount holds
+  /// their row locks until the background pass ends.
+  std::vector<TxnId> losers_;
 
   std::thread undo_thread_;
   std::mutex undo_join_mu_;
@@ -360,16 +366,17 @@ class AsOfSnapshot {
   std::mutex tree_latches_mu_;
   std::map<TreeId, std::unique_ptr<std::shared_mutex>> tree_latches_;
 
-  // Lazy per-tree recovery state. trees_mu_ guards the map shape and
-  // every TreeRecovery's state field; a tree's worklist and progress
-  // cursor are touched only by the thread holding its kRunning claim
-  // (publication happens-before via trees_mu_).
+  // Per-tree recovery state (both modes). trees_mu_ guards the map
+  // shape and every TreeRecovery's state field; a tree's worklist and
+  // progress cursor are touched only by the thread holding its
+  // kRunning claim (publication happens-before via trees_mu_).
   struct TreeRecovery {
     enum class State { kPending, kRunning, kDone };
     State state = State::kPending;
-    /// This tree's loser page-record LSNs, descending (the serial
-    /// eager undo order restricted to the tree -- what makes lazy
-    /// pages byte-identical to eager ones).
+    /// This tree's loser page-record LSNs, descending: the one order
+    /// every mount undoes the tree in, whichever thread claims it --
+    /// what makes lazy and eager pages byte-identical (see MountMode
+    /// for the unlogged-split exception).
     std::vector<Lsn> work;
     /// Progress cursor: records [0, applied) are already undone, so a
     /// retry after a failure resumes instead of double-applying.
@@ -377,7 +384,7 @@ class AsOfSnapshot {
   };
   std::mutex trees_mu_;
   std::condition_variable trees_cv_;
-  bool analysis_ready_ = false;  // also true under kEager (vacuously)
+  bool analysis_ready_ = false;
   Status analysis_status_;
   std::map<TreeId, TreeRecovery> tree_work_;
 
@@ -385,10 +392,10 @@ class AsOfSnapshot {
   RecoveryFaultHook fault_hook_;
   std::atomic<uint64_t> pages_recovered_{0};
 
-  /// Leaf mutex: the sweeper / background undo thread updates stats_
-  /// while the mount is already visible to readers, so every write
-  /// from those threads and every read through creation_stats() takes
-  /// it. Never held across any other lock.
+  /// Leaf mutex: the background pass updates stats_ while the mount is
+  /// already visible to readers, so every write from its thread and
+  /// every read through creation_stats() takes it. Never held across
+  /// any other lock.
   mutable std::mutex stats_mu_;
   CreationStats stats_;
 };

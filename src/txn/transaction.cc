@@ -1,6 +1,7 @@
 #include "txn/transaction.h"
 
 #include <thread>
+#include <unordered_set>
 
 namespace rewinddb {
 
@@ -106,6 +107,55 @@ Status RollbackChain(wal::Wal* wal, Transaction* txn, Lsn from_lsn,
         REWIND_RETURN_IF_ERROR(applier->UndoRecord(txn, cur.lsn(), rec));
         REWIND_RETURN_IF_ERROR(cur.FollowPrev());
         break;
+    }
+  }
+  return Status::OK();
+}
+
+Status AnalyzeLog(wal::Wal* wal, Lsn start, Lsn stop, bool with_dpt,
+                  LogAnalysis* out) {
+  *out = LogAnalysis();
+  std::unordered_set<TxnId> ended;  // committed/aborted in the scan
+  wal::Cursor cur = wal->OpenCursor();
+  REWIND_RETURN_IF_ERROR(cur.SeekTo(start));
+  while (cur.Valid() && cur.lsn() < stop) {
+    const LogRecord& rec = cur.record();
+    out->records++;
+    if (rec.type == LogType::kCheckpointEnd) {
+      out->passed_checkpoint_end = true;
+      for (const AttEntry& e : rec.att) {
+        if (ended.count(e.txn_id) == 0) {
+          out->att.emplace(e.txn_id, e.last_lsn);
+        }
+      }
+      if (with_dpt) {
+        for (const DptEntry& e : rec.dpt) {
+          auto [it, fresh] = out->dpt.emplace(e.page_id, e.rec_lsn);
+          if (!fresh && e.rec_lsn < it->second) it->second = e.rec_lsn;
+        }
+      }
+    } else {
+      if (rec.txn_id != kInvalidTxnId) {
+        if (rec.type == LogType::kCommit || rec.type == LogType::kAbort) {
+          out->att.erase(rec.txn_id);
+          ended.insert(rec.txn_id);
+        } else {
+          out->att[rec.txn_id] = cur.lsn();
+        }
+      }
+      if (with_dpt && rec.IsPageRecord()) {
+        out->dpt.emplace(rec.page_id, cur.lsn());
+      }
+    }
+    REWIND_RETURN_IF_ERROR(cur.Next());
+  }
+  for (auto it = out->att.begin(); it != out->att.end();) {
+    REWIND_RETURN_IF_ERROR(cur.SeekToChain(it->second));
+    const LogType head = cur.Valid() ? cur.record().type : LogType::kBegin;
+    if (head == LogType::kCommit || head == LogType::kAbort) {
+      it = out->att.erase(it);
+    } else {
+      ++it;
     }
   }
   return Status::OK();

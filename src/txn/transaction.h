@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -138,11 +139,44 @@ class TransactionManager {
 
 /// Drive the rollback of one transaction chain: walks prevLSN from
 /// `from_lsn` with a wal::Cursor, calling `applier` for undoable
-/// records and honouring CLR undo_next jumps. Shared by runtime abort,
-/// crash-recovery undo and snapshot background undo (which is what
-/// makes the paper's "single mechanism" point concrete).
+/// records and honouring CLR undo_next jumps. Shared by runtime abort
+/// and crash-recovery undo, which rolls a loser back exactly like a
+/// runtime abort. (Snapshot loser undo is unlogged and per tree; see
+/// AsOfSnapshot.)
 Status RollbackChain(wal::Wal* wal, Transaction* txn, Lsn from_lsn,
                      UndoApplier* applier);
+
+/// What an ARIES analysis pass found.
+struct LogAnalysis {
+  /// Losers: transactions in flight at the end of the scan -> the head
+  /// (last LSN) of their prevLSN chain.
+  std::unordered_map<TxnId, Lsn> att;
+  /// Dirty page table: page -> recLSN (filled only when asked for).
+  std::unordered_map<PageId, Lsn> dpt;
+  /// Records the scan decoded.
+  uint64_t records = 0;
+  /// Whether the scan passed a checkpoint end record.
+  bool passed_checkpoint_end = false;
+};
+
+/// ARIES analysis of the records in [start, stop), shared by crash
+/// restart and snapshot mounts. A checkpoint end record's tables are
+/// merged with what the scan itself sees, since the checkpoint may be
+/// fuzzy:
+///  * its ATT entries never resurrect a transaction whose COMMIT/ABORT
+///    the scan already passed (a commit can land between the begin
+///    record and the end record's capture);
+///  * DPT entries (`with_dpt`) merge with MIN(recLSN): a page modified
+///    between checkpoint begin and end is seen by the scan FIRST with a
+///    too-late recLSN, and the checkpoint's older entry must win or
+///    redo would skip its unflushed pre-checkpoint records.
+/// Finally a loser whose chain head is a COMMIT/ABORT record is
+/// dropped: a checkpoint ATT written by an older build can list a
+/// decided transaction whose completion record predates `start`
+/// (captured during its durability wait), and undo would walk past that
+/// record into committed history.
+Status AnalyzeLog(wal::Wal* wal, Lsn start, Lsn stop, bool with_dpt,
+                  LogAnalysis* out);
 
 }  // namespace rewinddb
 

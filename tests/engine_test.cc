@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "engine/database.h"
 #include "engine/table.h"
+#include "snapshot/asof_snapshot.h"
 
 namespace rewinddb {
 namespace {
@@ -343,6 +344,98 @@ TEST_F(EngineTest, RecoveryIsIdempotentAcrossRepeatedCrashes) {
   auto table = db_->OpenTable("t");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(*table->Count(), 0u);
+}
+
+/// A SimClock that ticks one microsecond per reading, so every record
+/// restart stamps gets its own instant.
+class TickingClock : public SimClock {
+ public:
+  using SimClock::SimClock;
+  WallClock NowMicros() override {
+    Advance(1);
+    return SimClock::NowMicros();
+  }
+};
+
+TEST_F(EngineTest, RestartSystemTransactionsNeverReuseALoserId) {
+  // Undo can begin system transactions (here a leaf split to re-insert
+  // a deleted row). Restart must move the id allocator past every loser
+  // first: a system transaction logging under a loser's id would end
+  // that loser in analysis with its COMMIT.
+  TickingClock clock(1'000'000);
+  DatabaseOptions opts;
+  opts.clock = &clock;
+  opts.checkpoint_interval_bytes = 0;  // keep the superblock's id floor
+  Recreate(opts);
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(db_->CreateTable(txn, "t", KvSchema()).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  auto table = db_->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  const std::string big(1500, 'b');
+  txn = db_->Begin();
+  for (int i = 0; i < 5; i++) {  // one leaf, nearly full
+    ASSERT_TRUE(table->Insert(txn, {i, big}).ok());
+  }
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  ASSERT_TRUE(db_->Checkpoint().ok());
+
+  // Two losers, begun after the checkpoint, so above the id floor it
+  // stores. The lower one deletes a big row, a committed row takes its
+  // space, and re-inserting it on undo must split the leaf.
+  Transaction* low = db_->Begin();
+  Transaction* high = db_->Begin();
+  const std::vector<TxnId> losers = {low->id, high->id};
+  ASSERT_TRUE(table->Insert(high, {100, std::string("high")}).ok());
+  ASSERT_TRUE(table->Delete(low, {2}).ok());
+  Transaction* filler = db_->Begin();
+  ASSERT_TRUE(table->Insert(filler, {10, big}).ok());
+  ASSERT_TRUE(db_->Commit(filler).ok());
+  ASSERT_TRUE(db_->log()->FlushAll().ok());
+  CrashAndReopen(opts);
+  EXPECT_EQ(db_->recovery_stats().loser_transactions, 2u);
+
+  // Restart's only commits are its system transactions'.
+  WallClock restart_commit = 0;
+  wal::Cursor cur = db_->log()->OpenCursor();
+  ASSERT_TRUE(cur.SeekTo(db_->recovery_stats().durable_end_lsn).ok());
+  while (cur.Valid()) {
+    const LogRecord& rec = cur.record();
+    for (TxnId id : losers) {
+      if (rec.is_system || rec.type == LogType::kCommit) {
+        EXPECT_NE(rec.txn_id, id) << "restart logged under a loser's id: "
+                                  << rec.DebugString();
+      }
+    }
+    if (rec.type == LogType::kCommit && restart_commit == 0) {
+      restart_commit = rec.wall_clock;
+    }
+    ASSERT_TRUE(cur.Next().ok());
+  }
+  ASSERT_NE(restart_commit, 0u) << "undo was meant to split the leaf";
+
+  // AS OF restart's commit the lower loser was still being undone (and
+  // the higher one too, unless parallel undo finished it first):
+  // neither one's change may show.
+  for (MountMode mode : {MountMode::kEager, MountMode::kLazy}) {
+    auto snap =
+        AsOfSnapshot::Create(db_.get(), "restart", restart_commit, mode);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ASSERT_TRUE((*snap)->WaitForUndo().ok());
+    auto st = (*snap)->OpenTable("t");
+    ASSERT_TRUE(st.ok());
+    EXPECT_TRUE(st->Get({100}).status().IsNotFound())
+        << "the higher loser's insert is visible";
+    auto row = st->Get({2});
+    ASSERT_TRUE(row.ok()) << "the lower loser's delete is visible";
+    EXPECT_EQ((*row)[1].AsString(), big);
+    EXPECT_EQ(*st->Count(), 6u);
+  }
+  table = db_->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(*table->Count(), 6u);
+  // The clock above dies with this scope.
+  db_.reset();
 }
 
 TEST_F(EngineTest, CheckpointBoundsRecoveryWork) {

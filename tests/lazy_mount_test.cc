@@ -8,6 +8,7 @@
 // without poisoning other pages or leaking partial side-file state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -32,22 +33,25 @@ Schema KvSchema() {
                 1);
 }
 
-class LazyMountTest : public ::testing::Test {
+class LazyMountBase : public ::testing::Test {
  protected:
+  /// Replay workers for the fixture's database (and so for both mounts).
+  virtual int ReplayThreads() const { return 1; }
+
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "rewinddb_lazy" /
-            ::testing::UnitTest::GetInstance()->current_test_info()->name())
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = (std::filesystem::temp_directory_path() / "rewinddb_lazy" / name)
                .string();
     std::filesystem::remove_all(dir_);
     clock_ = std::make_unique<SimClock>(10 * kSecond);
     DatabaseOptions opts;
     opts.clock = clock_.get();
-    // Byte-identity preconditions: serial undo (the parallel eager
-    // undo's loser order is nondeterministic) and no shared version
-    // store (one mount must not serve the other mount's rewound
-    // images -- each must do its own work for the comparison to mean
-    // anything).
-    opts.replay_threads = 1;
+    opts.replay_threads = ReplayThreads();
+    // Byte-identity precondition: no shared version store (one mount
+    // must not serve the other mount's rewound images -- each must do
+    // its own work for the comparison to mean anything).
     opts.version_store_bytes = 0;
     Recreate(opts);
   }
@@ -131,9 +135,22 @@ class LazyMountTest : public ::testing::Test {
   std::unique_ptr<Database> db_;
 };
 
+/// The mount-equivalence cases, at one replay worker and at eight. Both
+/// modes undo each tree's loser records in one descending-LSN order,
+/// whichever worker or query claims the tree, so the pages match at any
+/// worker count.
+class LazyMountTest : public LazyMountBase,
+                      public ::testing::WithParamInterface<int> {
+ protected:
+  int ReplayThreads() const override { return GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(ReplayThreads, LazyMountTest,
+                         ::testing::Values(1, 8));
+
 // --------------------- byte-identical page images ---------------------
 
-TEST_F(LazyMountTest, ByteIdenticalPagesQuiescedWithPostSplitChurn) {
+TEST_P(LazyMountTest, ByteIdenticalPagesQuiescedWithPostSplitChurn) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
@@ -169,7 +186,7 @@ TEST_F(LazyMountTest, ByteIdenticalPagesQuiescedWithPostSplitChurn) {
   for (const auto& [k, v] : ce) EXPECT_EQ(v, "v1") << k;
 }
 
-TEST_F(LazyMountTest, ByteIdenticalPagesWithLoserStraddlingSplit) {
+TEST_P(LazyMountTest, ByteIdenticalPagesWithLoserStraddlingSplit) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
@@ -213,9 +230,52 @@ TEST_F(LazyMountTest, ByteIdenticalPagesWithLoserStraddlingSplit) {
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
 
+TEST_P(LazyMountTest, ByteIdenticalPagesWithSixLosersOnInterleavedKeys) {
+  MakeKvTable();
+  auto table = db_->OpenTable("t");
+  clock_->Advance(10 * kSecond);
+  PutRows(&*table, 0, 240, "committed-value");
+  clock_->Advance(kSecond);
+
+  // Six losers in flight at the split, updating the keys round-robin:
+  // every leaf holds rows of all six, and their records interleave in
+  // the log. Shrinking updates only, so undo never needs an unlogged
+  // leaf split.
+  std::vector<Transaction*> losers;
+  for (int l = 0; l < 6; l++) losers.push_back(db_->Begin());
+  for (int i = 0; i < 240; i++) {
+    ASSERT_TRUE(
+        table->Update(losers[i % 6], {i, "L" + std::to_string(i % 6)}).ok())
+        << i;
+  }
+  clock_->Advance(kSecond);
+  PutRows(&*table, 300, 301, "bump");
+  WallClock t = clock_->NowMicros();
+  clock_->Advance(kSecond);
+
+  std::unique_ptr<AsOfSnapshot> eager, lazy;
+  MountBoth(t, &eager, &lazy);
+  ASSERT_TRUE(eager->WaitForUndo().ok());
+  ASSERT_TRUE(lazy->WaitForUndo().ok());
+  for (AsOfSnapshot* snap : {eager.get(), lazy.get()}) {
+    EXPECT_EQ(snap->creation_stats().loser_transactions, 6u);
+    EXPECT_EQ(snap->creation_stats().replay_threads, GetParam());
+  }
+
+  ExpectByteIdenticalPages(eager.get(), lazy.get());
+
+  auto se = eager->OpenTable("t");
+  ASSERT_TRUE(se.ok());
+  auto contents = Contents(&*se);
+  EXPECT_EQ(contents.size(), 241u);
+  for (int i = 0; i < 240; i++) EXPECT_EQ(contents[i], "committed-value") << i;
+
+  for (Transaction* l : losers) ASSERT_TRUE(db_->Abort(l).ok());
+}
+
 // --------------------- loser undo, scan equivalence -------------------
 
-TEST_F(LazyMountTest, LoserDeletesInvisibleInBothModes) {
+TEST_P(LazyMountTest, LoserDeletesInvisibleInBothModes) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
@@ -251,7 +311,7 @@ TEST_F(LazyMountTest, LoserDeletesInvisibleInBothModes) {
 
 // ------------------- first-touch and sweeper races --------------------
 
-TEST_F(LazyMountTest, ConcurrentFirstTouchOfOneTree) {
+TEST_P(LazyMountTest, ConcurrentFirstTouchOfOneTree) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
@@ -301,7 +361,7 @@ TEST_F(LazyMountTest, ConcurrentFirstTouchOfOneTree) {
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
 
-TEST_F(LazyMountTest, SweeperCompletesThenQueriesMatchEager) {
+TEST_P(LazyMountTest, SweeperCompletesThenQueriesMatchEager) {
   MakeKvTable("a");
   MakeKvTable("b");
   auto ta = db_->OpenTable("a");
@@ -345,7 +405,7 @@ TEST_F(LazyMountTest, SweeperCompletesThenQueriesMatchEager) {
 // Page-granular fault points (kIndexLookup, kRewindRead) fire on the
 // query path only -- with no losers the sweeper never touches table
 // pages, so failing a specific page id is deterministic.
-class LazyFaultTest : public LazyMountTest {
+class LazyFaultTest : public LazyMountBase {
  protected:
   /// History: two tables, churned after the split so every first read
   /// must really recover its page.

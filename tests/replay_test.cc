@@ -364,47 +364,72 @@ TEST_F(ReplayEquivalenceTest, SnapshotMountEquivalentAcrossThreadCounts) {
   }
 
   std::vector<std::string> ref_rows;
+  std::vector<std::string> ref_pages;  // eager snapshot pages, threads=1
   for (int threads : {1, 2, 8}) {
     DatabaseOptions o = opts;
     o.replay_threads = threads;
     auto db = Database::Open(dir, o);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
-    auto snap = AsOfSnapshot::Create(db->get(),
-                                     "eq" + std::to_string(threads), mark);
-    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-    ASSERT_TRUE((*snap)->WaitForUndo().ok());
-    // Loser count is stable only after WaitForUndo (lazy mounts run
-    // analysis in the background sweeper); the replay worker count
-    // applies to the eager parallel-undo pipeline only -- the lazy
-    // sweeper undoes per tree, not per worker.
-    EXPECT_EQ((*snap)->creation_stats().loser_transactions, 4u);
-    if (!(*snap)->lazy()) {
+    for (MountMode mode : {MountMode::kEager, MountMode::kLazy}) {
+      const bool eager = mode == MountMode::kEager;
+      auto snap = AsOfSnapshot::Create(
+          db->get(), (eager ? "eq" : "lz") + std::to_string(threads), mark,
+          mode);
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      ASSERT_TRUE((*snap)->WaitForUndo().ok());
+      // Stable only after WaitForUndo (lazy mounts run analysis in the
+      // background pass). Both modes fan the pass out over the workers.
+      EXPECT_EQ((*snap)->creation_stats().loser_transactions, 4u);
       EXPECT_EQ((*snap)->creation_stats().replay_threads, threads);
-    }
 
-    auto t = (*snap)->OpenTable("t");
-    ASSERT_TRUE(t.ok());
-    std::vector<std::string> rows;
-    ASSERT_TRUE(t->Scan(std::nullopt, std::nullopt, [&](const Row& row) {
-                   std::string line;
-                   for (const Value& v : row) line += v.ToString() + "|";
-                   rows.push_back(std::move(line));
-                   return true;
-                 }).ok());
-    // As of the mark the in-flight changes must be fully unwound (the
-    // 500 base rows plus the committed boundary marker remain).
-    EXPECT_EQ(rows.size(), 501u);
-    for (const std::string& r : rows) {
-      EXPECT_EQ(r.find("inflight"), std::string::npos);
-      EXPECT_EQ(r.find('Z'), std::string::npos);
+      auto t = (*snap)->OpenTable("t");
+      ASSERT_TRUE(t.ok());
+      std::vector<std::string> rows;
+      ASSERT_TRUE(t->Scan(std::nullopt, std::nullopt, [&](const Row& row) {
+                     std::string line;
+                     for (const Value& v : row) line += v.ToString() + "|";
+                     rows.push_back(std::move(line));
+                     return true;
+                   }).ok());
+      // As of the mark the in-flight changes must be fully unwound (the
+      // 500 base rows plus the committed boundary marker remain).
+      EXPECT_EQ(rows.size(), 501u);
+      for (const std::string& r : rows) {
+        EXPECT_EQ(r.find("inflight"), std::string::npos);
+        EXPECT_EQ(r.find('Z'), std::string::npos);
+      }
+      if (ref_rows.empty()) {
+        ref_rows = rows;
+      } else {
+        EXPECT_EQ(rows, ref_rows) << "snapshot scan differs at threads="
+                                  << threads << (eager ? " eager" : " lazy");
+      }
+
+      if (eager) {
+        // Every tree's loser records are undone in one order whichever
+        // worker claims the tree, and this undo splits no page: the
+        // eager pages are byte-identical at every worker count. Page 0,
+        // the superblock, is written outside the log at every
+        // checkpoint, so it differs between reopens.
+        std::vector<std::string> pages;
+        for (PageId id = 1; id < (*db)->data_file()->NumPages(); id++) {
+          auto page = (*snap)->buffers()->FetchPage(id, AccessMode::kRead);
+          ASSERT_TRUE(page.ok()) << page.status().ToString();
+          pages.emplace_back(page->data(), kPageSize);
+        }
+        if (ref_pages.empty()) {
+          ref_pages = std::move(pages);
+        } else {
+          ASSERT_EQ(pages.size(), ref_pages.size());
+          for (size_t i = 0; i < pages.size(); i++) {
+            EXPECT_TRUE(pages[i] == ref_pages[i])
+                << "eager snapshot page " << i + 1
+                << " differs at threads=" << threads;
+          }
+        }
+      }
+      snap->reset();
     }
-    if (threads == 1) {
-      ref_rows = rows;
-    } else {
-      EXPECT_EQ(rows, ref_rows)
-          << "snapshot scan differs at threads=" << threads;
-    }
-    snap->reset();
     ASSERT_TRUE((*db)->Close().ok());
   }
 }

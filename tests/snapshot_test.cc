@@ -416,6 +416,126 @@ TEST_F(SnapshotTest, AnalysisRestartsWhenSplitFallsInsideCheckpointWindow) {
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
 
+/// Commit 10 rows, checkpoint, then hand-write what an older build could
+/// log: a checkpoint whose ATT captured the committed transaction during
+/// its durability wait, at its COMMIT record. One more row commits
+/// after it; returns that instant. The pair never reaches the
+/// superblock, so crash restart still starts at the real checkpoint and
+/// meets the pair's ATT in its scan.
+WallClock WriteDecidedChainHeadCheckpoint(Database* db, SimClock* clock) {
+  auto table = db->OpenTable("t");
+  EXPECT_TRUE(table.ok());
+  clock->Advance(kSecond);
+  Transaction* txn = db->Begin();
+  const TxnId decided = txn->id;
+  for (int i = 0; i < 10; i++) {
+    EXPECT_TRUE(table->Insert(txn, {i, std::string("committed")}).ok());
+  }
+  EXPECT_TRUE(db->Commit(txn).ok());
+  EXPECT_TRUE(db->Checkpoint().ok());
+  Lsn commit_lsn = kInvalidLsn;
+  wal::Cursor cur = db->log()->OpenCursor();
+  EXPECT_TRUE(cur.SeekTo(db->log()->oldest_lsn()).ok());
+  while (cur.Valid()) {
+    if (cur.record().type == LogType::kCommit &&
+        cur.record().txn_id == decided) {
+      commit_lsn = cur.lsn();
+    }
+    EXPECT_TRUE(cur.Next().ok());
+  }
+  EXPECT_NE(commit_lsn, kInvalidLsn);
+
+  clock->Advance(kSecond);
+  LogRecord begin;
+  begin.type = LogType::kCheckpointBegin;
+  begin.wall_clock = clock->NowMicros();
+  db->log()->Append(begin);
+  LogRecord end;
+  end.type = LogType::kCheckpointEnd;
+  end.wall_clock = begin.wall_clock;
+  end.att = {{decided, commit_lsn}};
+  db->log()->Append(end);
+  clock->Advance(kSecond);
+  Transaction* later = db->Begin();
+  EXPECT_TRUE(table->Insert(later, {10, std::string("later")}).ok());
+  EXPECT_TRUE(db->Commit(later).ok());
+  const WallClock t = clock->NowMicros();
+  clock->Advance(kSecond);
+  EXPECT_TRUE(db->log()->FlushAll().ok());
+  return t;
+}
+
+TEST_F(SnapshotTest, DecidedChainHeadInCheckpointAttIsNotAMountLoser) {
+  // No byte-triggered checkpoint may interleave with the hand-written
+  // begin/end pair.
+  DatabaseOptions opts;
+  opts.clock = clock_.get();
+  opts.checkpoint_interval_bytes = 0;
+  Recreate(opts);
+  MakeKvTable();
+  const WallClock t = WriteDecidedChainHeadCheckpoint(db_.get(), clock_.get());
+  for (MountMode mode : {MountMode::kLazy, MountMode::kEager}) {
+    auto snap = AsOfSnapshot::Create(db_.get(), "decided", t, mode);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ASSERT_TRUE((*snap)->WaitForUndo().ok());
+    EXPECT_EQ((*snap)->creation_stats().loser_transactions, 0u);
+    auto st = (*snap)->OpenTable("t");
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(*st->Count(), 11u) << "the committed rows were undone";
+  }
+}
+
+TEST_F(SnapshotTest, DecidedChainHeadInCheckpointAttIsNotARestartLoser) {
+  DatabaseOptions opts;
+  opts.clock = clock_.get();
+  opts.checkpoint_interval_bytes = 0;
+  Recreate(opts);
+  MakeKvTable();
+  WriteDecidedChainHeadCheckpoint(db_.get(), clock_.get());
+  db_->SimulateCrash();
+  db_.reset();
+  auto reopened = Database::Open(dir_, opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  db_ = std::move(*reopened);
+  EXPECT_EQ(db_->recovery_stats().loser_transactions, 0u);
+  auto table = db_->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(*table->Count(), 11u);
+}
+
+TEST_F(SnapshotTest, FailedMountKeepsAnotherSnapshotsAnchor) {
+  MakeKvTable();
+  auto table = db_->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  clock_->Advance(kSecond);
+  PutRows(&*table, 0, 10, "a");
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  clock_->Advance(kSecond);
+  PutRows(&*table, 10, 20, "b");
+  const WallClock t = clock_->NowMicros();
+  clock_->Advance(kSecond);
+
+  for (MountMode mode : {MountMode::kEager, MountMode::kLazy}) {
+    auto a = AsOfSnapshot::Create(db_.get(), "a", t, mode);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(db_->SnapshotAnchorCount(), 1u);
+    // Mount b at the same instant (so on the same checkpoint anchor),
+    // with its side file unusable.
+    const std::string side = dir_ + "/b.side";
+    std::filesystem::create_directories(side);
+    auto b = AsOfSnapshot::Create(db_.get(), "b", t, mode);
+    EXPECT_TRUE(b.status().IsIoError()) << b.status().ToString();
+    std::filesystem::remove_all(side);
+    EXPECT_EQ(db_->SnapshotAnchorCount(), 1u)
+        << "a failed mount released the anchor of a live one";
+    auto st = (*a)->OpenTable("t");
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(*st->Count(), 20u);
+    a->reset();
+    EXPECT_EQ(db_->SnapshotAnchorCount(), 0u);
+  }
+}
+
 TEST_F(SnapshotTest, AsOfBeyondRetentionFails) {
   MakeKvTable();
   auto table = db_->OpenTable("t");
