@@ -1,12 +1,14 @@
 // Microbenchmarks for the core primitive: PreparePageAsOf cost as a
 // function of chain length, with and without periodic full page images
 // -- the ablation DESIGN.md calls out for the section 6.1 optimization.
+// Also the page checksum, which every page flush and miss read pays.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 
 #include "btree/btree.h"
 #include "engine/database.h"
+#include "page/page.h"
 #include "snapshot/page_rewinder.h"
 
 namespace rewinddb {
@@ -103,6 +105,24 @@ BENCHMARK(BM_PreparePageAsOf)
     ->Args({64, 16})
     ->Args({256, 16})
     ->Unit(benchmark::kMicrosecond);
+
+// ComputePageChecksum over one 8 KiB page: the stamp on every flush
+// (an eager mount's creation checkpoint stamps hundreds) and the check
+// on every miss read of the primary pool.
+void BM_PageChecksum(benchmark::State& state) {
+  char page[kPageSize];
+  for (size_t i = 0; i < kPageSize; i++) {
+    page[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(page);
+    benchmark::DoNotOptimize(ComputePageChecksum(page));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPageSize));
+}
+
+BENCHMARK(BM_PageChecksum)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace rewinddb

@@ -81,15 +81,13 @@ BufferManager::BufferManager(PageStore* store, wal::Wal* log,
   if (shards == 0) shards = 1;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; i++) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  // Distribute frames round-robin so every shard gets its fair share
-  // (the first `pool_pages % shards` shards hold one extra frame).
-  for (size_t i = 0; i < pool_pages; i++) {
-    Shard* s = shards_[i % shards].get();
-    Frame* f = new Frame();
-    f->slot = s->frames.size();
-    s->frames.push_back(f);
+    auto s = std::make_unique<Shard>();
+    // Every shard gets its fair share of the frames (the first
+    // `pool_pages % shards` shards hold one extra); PinFrame allocates
+    // them on first use.
+    s->capacity = pool_pages / shards + (i < pool_pages % shards ? 1 : 0);
+    s->frames.reserve(s->capacity);
+    shards_.push_back(std::move(s));
   }
 }
 
@@ -108,6 +106,7 @@ BufferManager::Stats BufferManager::stats() const {
   out.shards = shards_.size();
   out.pool_pages = pool_pages_;
   for (const auto& s : shards_) {
+    out.frames += s->frames_allocated.load(std::memory_order_relaxed);
     out.hits += s->hits.load(std::memory_order_relaxed);
     out.misses += s->misses.load(std::memory_order_relaxed);
     out.evictions += s->evictions.load(std::memory_order_relaxed);
@@ -156,7 +155,7 @@ Status BufferManager::EvictVictimLocked(Shard* s) {
 void BufferManager::RetireFrameLocked(Shard* s, Frame* f) {
   size_t slot = f->slot;
   delete f;
-  Frame* fresh = new Frame();
+  Frame* fresh = new Frame;  // unzeroed, see Frame
   fresh->slot = slot;
   s->frames[slot] = fresh;
 }
@@ -203,19 +202,27 @@ Result<Frame*> BufferManager::PinFrame(PageId id, bool read_on_miss,
   }
   *was_present = false;
   s->misses.fetch_add(1, std::memory_order_relaxed);
-  REWIND_RETURN_IF_ERROR(EvictVictimLocked(s));
-  // EvictVictimLocked leaves at least one free frame; find it near the
-  // clock hand.
   Frame* target = nullptr;
-  for (size_t i = 0; i < s->frames.size(); i++) {
-    Frame* f = s->frames[(s->clock_hand + i) % s->frames.size()];
-    if (f->page_id == kInvalidPageId && f->pin_count == 0) {
-      target = f;
-      break;
+  if (s->frames.size() < s->capacity) {
+    // Below capacity: allocate a frame (unzeroed, see Frame).
+    target = new Frame;
+    target->slot = s->frames.size();
+    s->frames.push_back(target);
+    s->frames_allocated.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    REWIND_RETURN_IF_ERROR(EvictVictimLocked(s));
+    // EvictVictimLocked leaves at least one free frame; find it near the
+    // clock hand.
+    for (size_t i = 0; i < s->frames.size(); i++) {
+      Frame* f = s->frames[(s->clock_hand + i) % s->frames.size()];
+      if (f->page_id == kInvalidPageId && f->pin_count == 0) {
+        target = f;
+        break;
+      }
     }
-  }
-  if (target == nullptr) {
-    return Status::Busy("buffer pool shard exhausted");
+    if (target == nullptr) {
+      return Status::Busy("buffer pool shard exhausted");
+    }
   }
   target->page_id = id;
   target->pin_count = 1;

@@ -79,6 +79,9 @@ enum class AccessMode { kRead, kWrite };
 /// latch a distinct lock instance, so lock-order tracking (TSan
 /// detect_deadlocks=1 in CI) sees page-latch ordering per page rather
 /// than false cycles from one recycled mutex serving many pages.
+/// Neither a first-use frame nor a fresh one has its `data` zeroed: a
+/// miss read fills it (or is retracted) and page allocation formats it
+/// before any reader sees it.
 struct Frame {
   alignas(8) char data[kPageSize];
   PageId page_id = kInvalidPageId;
@@ -146,7 +149,11 @@ class PageGuard {
   AccessMode mode_ = AccessMode::kRead;
 };
 
-/// A fixed-size pool of page frames, sharded by page id.
+/// A pool of at most `pool_pages` page frames, sharded by page id.
+/// Frames are allocated on first use: a shard takes a new frame on a
+/// miss while it holds fewer than its share, and runs the clock sweep
+/// only once it is full, so a pool costs memory for the pages it has
+/// held, not for its capacity.
 class BufferManager {
  public:
   /// Aggregated pool counters (per-shard counters summed).
@@ -155,13 +162,14 @@ class BufferManager {
     uint64_t misses = 0;     // fetches that had to touch the store
     uint64_t evictions = 0;  // victim frames recycled by the clock sweep
     size_t shards = 0;
-    size_t pool_pages = 0;
+    size_t pool_pages = 0;   // capacity in frames
+    size_t frames = 0;       // frames allocated so far (<= pool_pages)
   };
 
   /// \param store    backing page store (file or snapshot store)
   /// \param log      WAL to honour before flushing dirty pages; nullptr
   ///                 for snapshot pools (their writes are unlogged)
-  /// \param pool_pages number of frames
+  /// \param pool_pages capacity in frames
   /// \param verify_checksums verify page checksums on every miss read
   /// \param shards   shard count; 0 picks one shard per 128 frames,
   ///                 capped at kMaxShards (small pools degenerate to a
@@ -211,8 +219,10 @@ class BufferManager {
     std::mutex mu;
     std::condition_variable io_cv;  // miss-IO completion
     std::unordered_map<PageId, Frame*> table;
-    std::vector<Frame*> frames;
+    std::vector<Frame*> frames;  // allocated so far, at most `capacity`
+    size_t capacity = 0;
     size_t clock_hand = 0;
+    std::atomic<size_t> frames_allocated{0};  // frames.size(), lock-free
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> evictions{0};

@@ -99,8 +99,10 @@ class Decoder {
   Slice in_;
 };
 
-/// CRC-style checksum (FNV-1a 32-bit): cheap integrity check for log
-/// records and torn-write detection on pages.
+/// FNV-1a 32-bit hash: the integrity check of log records, compression
+/// frames and archive segments. Their on-disk formats pin it, so it
+/// stays byte-serial; data pages use the word-parallel checksum in
+/// page/page.cc.
 inline uint32_t Checksum32(const char* data, size_t n) {
   uint32_t h = 2166136261u;
   for (size_t i = 0; i < n; i++) {

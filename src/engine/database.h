@@ -62,7 +62,9 @@ bool DefaultWalCompression();
 uint64_t DefaultFpiDeltaWindowBytes();
 
 struct DatabaseOptions {
-  /// Buffer pool size in pages.
+  /// Buffer pool capacity in pages. Frames are allocated on first use:
+  /// the pool, and each AS OF mount's snapshot pool of the same
+  /// capacity, grows as pages enter it, up to this cap.
   size_t buffer_pool_pages = 2048;
   /// Emit a full page image every N modifications of a page (paper
   /// section 6.1); 0 disables periodic images.

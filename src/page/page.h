@@ -57,14 +57,17 @@ inline const PageHeader* Header(const char* page) {
 inline Lsn PageLsn(const char* page) { return Header(page)->page_lsn; }
 inline void SetPageLsn(char* page, Lsn lsn) { Header(page)->page_lsn = lsn; }
 
-/// Compute the checksum over everything except the checksum field.
+/// Compute the page checksum: a word-parallel FNV-style hash of the
+/// whole page with the checksum field read as zero (page.cc).
 uint32_t ComputePageChecksum(const char* page);
 
 /// Stamp the checksum field (done by the buffer manager before a flush).
 void StampPageChecksum(char* page);
 
 /// Verify a page read from disk. Pages written before any checksum was
-/// stamped (all-zero field) are accepted.
+/// stamped (all-zero field) are accepted, and so are pages stamped with
+/// the byte-serial FNV-1a checksum of earlier builds, which is tried
+/// only after the current checksum mismatches.
 bool VerifyPageChecksum(const char* page);
 
 }  // namespace rewinddb

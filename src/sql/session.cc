@@ -174,6 +174,7 @@ SqlResult SqlSession::ShowStats() {
   add("buffer.evictions", bs.evictions);
   add("buffer.shards", bs.shards);
   add("buffer.pool_pages", bs.pool_pages);
+  add("buffer.frames", bs.frames);
 
   VersionStore::Stats vs = conn_->VersionStoreStats();
   add("version_store.exact_hits", vs.exact_hits);

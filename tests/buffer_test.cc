@@ -2,6 +2,7 @@
 // rule, dirty page table, checksum verification, concurrency.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <thread>
 
@@ -196,6 +197,50 @@ TEST_F(BufferTest, NewPageMaterializesWithoutRead) {
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(stats_.data_reads.load(), reads0) << "NewPage must not read";
   EXPECT_EQ(Header(g->data())->page_id, 42u);
+}
+
+TEST_F(BufferTest, NewPageFormatsARecycledFrame) {
+  // Frames are not zeroed when allocated or retired: the one-frame pool
+  // hands page 0's old slot to the new page, which must still come up
+  // all zeros apart from its id.
+  SeedPage(0, std::string(2000, 'q'));
+  BufferManager bm(store_.get(), log_.get(), &stats_, 1);
+  ASSERT_TRUE(bm.FetchPage(0, AccessMode::kRead).ok());
+  auto g = bm.NewPage(42);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(bm.stats().evictions, 1u);
+  char expect[kPageSize] = {};
+  Header(expect)->page_id = 42;
+  EXPECT_EQ(memcmp(g->data(), expect, kPageSize), 0);
+}
+
+TEST_F(BufferTest, FramesAllocatedOnFirstUse) {
+  for (PageId id = 0; id < 10; id++) SeedPage(id, std::to_string(id));
+  BufferManager bm(store_.get(), log_.get(), &stats_, 2048);
+  EXPECT_EQ(bm.stats().pool_pages, 2048u);
+  EXPECT_EQ(bm.stats().frames, 0u) << "construction allocates no frame";
+  for (PageId id = 0; id < 10; id++) {
+    ASSERT_TRUE(bm.FetchPage(id, AccessMode::kRead).ok());
+  }
+  EXPECT_EQ(bm.stats().frames, 10u);
+  for (PageId id = 0; id < 10; id++) {
+    ASSERT_TRUE(bm.FetchPage(id, AccessMode::kRead).ok());
+  }
+  EXPECT_EQ(bm.stats().frames, 10u) << "hits allocate nothing";
+}
+
+TEST_F(BufferTest, ClockSweepStartsOnlyWhenThePoolIsFull) {
+  const size_t kPool = 4;
+  for (PageId id = 0; id <= kPool; id++) SeedPage(id, "x");
+  BufferManager bm(store_.get(), log_.get(), &stats_, kPool);
+  for (PageId id = 0; id < kPool; id++) {
+    ASSERT_TRUE(bm.FetchPage(id, AccessMode::kRead).ok());
+    EXPECT_EQ(bm.stats().evictions, 0u) << "after page " << id;
+    EXPECT_EQ(bm.stats().frames, id + 1);
+  }
+  ASSERT_TRUE(bm.FetchPage(kPool, AccessMode::kRead).ok());
+  EXPECT_EQ(bm.stats().evictions, 1u);
+  EXPECT_EQ(bm.stats().frames, kPool);
 }
 
 TEST_F(BufferTest, ConcurrentReadersShareFrames) {

@@ -180,7 +180,9 @@ class CrashMatrixTest
       markers->push_back(db->log()->next_lsn());
       // A mid-run fuzzy checkpoint: with the archive tier on it also
       // seals + trims, so recovery crosses the tier boundary.
-      if (i == kTxns / 2) EXPECT_TRUE(db->FuzzyCheckpoint().ok());
+      if (i == kTxns / 2) {
+        EXPECT_TRUE(db->FuzzyCheckpoint().ok());
+      }
     }
     EXPECT_TRUE(db->log()->FlushAll().ok());
     full_end_ = db->log()->flushed_lsn();

@@ -549,7 +549,9 @@ TEST_P(CrashPointTest, CommittedSurviveUncommittedVanish) {
     } else {
       ASSERT_TRUE(db_->Abort(t2).ok());
     }
-    if (rnd.Percent(5)) ASSERT_TRUE(db_->Checkpoint().ok());
+    if (rnd.Percent(5)) {
+      ASSERT_TRUE(db_->Checkpoint().ok());
+    }
   }
   // Leave one transaction in flight at the crash.
   Transaction* in_flight = db_->Begin();

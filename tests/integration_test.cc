@@ -47,7 +47,9 @@ TEST_F(IntegrationTest, TpccSurvivesCrashAndStaysConsistent) {
     for (int i = 0; i < 150; i++) {
       Status s = (*tpcc)->NewOrder(&rnd);
       ASSERT_TRUE(s.ok() || s.IsAborted()) << s.ToString();
-      if (i % 40 == 0) ASSERT_TRUE((*db)->Checkpoint().ok());
+      if (i % 40 == 0) {
+        ASSERT_TRUE((*db)->Checkpoint().ok());
+      }
       if (i % 3 == 0) {
         s = (*tpcc)->Payment(&rnd);
         ASSERT_TRUE(s.ok() || s.IsAborted());

@@ -1,10 +1,13 @@
 // Unit and property tests for slotted pages and allocation map pages.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "page/alloc_page.h"
 #include "page/page.h"
@@ -192,6 +195,92 @@ TEST(PageChecksumTest, UnstampedPageAccepted) {
   char page[kPageSize];
   SlottedPage::Init(page, 3, PageType::kBtreeLeaf, 0, 1);
   EXPECT_TRUE(VerifyPageChecksum(page));
+}
+
+/// A leaf filled with `n` records whose bytes depend on `version`, so two
+/// versions of the page differ in both halves.
+void FillLeaf(char* page, int n, int version) {
+  SlottedPage::Init(page, 7, PageType::kBtreeLeaf, 0, 1);
+  for (int i = 0; i < n; i++) {
+    std::string rec = std::to_string(version * 1000 + i);
+    rec.append(40, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(SlottedPage::InsertAt(page, static_cast<uint16_t>(i), rec)
+                    .ok());
+  }
+  SetPageLsn(page, 1000 + version);
+}
+
+TEST(PageChecksumTest, EverySingleBitFlipOutsideTheFieldFails) {
+  char page[kPageSize];
+  ASSERT_NO_FATAL_FAILURE(FillLeaf(page, 60, 1));
+  StampPageChecksum(page);
+  ASSERT_TRUE(VerifyPageChecksum(page));
+  const size_t field = offsetof(PageHeader, checksum);
+  size_t undetected = 0;
+  size_t first_byte = 0;
+  for (size_t i = 0; i < kPageSize; i++) {
+    if (i >= field && i < field + sizeof(uint32_t)) continue;
+    for (int bit = 0; bit < 8; bit++) {
+      page[i] ^= static_cast<char>(1 << bit);
+      if (VerifyPageChecksum(page)) {
+        if (undetected++ == 0) first_byte = i;
+      }
+      page[i] ^= static_cast<char>(1 << bit);
+    }
+  }
+  EXPECT_EQ(undetected, 0u) << "first undetected flip in byte " << first_byte;
+  EXPECT_TRUE(VerifyPageChecksum(page));
+}
+
+TEST(PageChecksumTest, TornWriteFails) {
+  // The lower 4 KiB reached the disk from the new image, the upper 4 KiB
+  // is still the older image of the same page.
+  char older[kPageSize];
+  char newer[kPageSize];
+  ASSERT_NO_FATAL_FAILURE(FillLeaf(older, 120, 1));
+  ASSERT_NO_FATAL_FAILURE(FillLeaf(newer, 120, 2));
+  StampPageChecksum(older);
+  StampPageChecksum(newer);
+  constexpr size_t kHalf = kPageSize / 2;
+  ASSERT_NE(memcmp(older + kHalf, newer + kHalf, kHalf), 0);
+  char torn[kPageSize];
+  memcpy(torn, newer, kHalf);
+  memcpy(torn + kHalf, older + kHalf, kHalf);
+  EXPECT_FALSE(VerifyPageChecksum(torn));
+}
+
+/// The checksum builds before the word-parallel kernel stamped: FNV-1a
+/// over the bytes before and after the checksum field.
+uint32_t FnvPageChecksum(const char* page) {
+  const size_t off = offsetof(PageHeader, checksum);
+  uint32_t h = Checksum32(page, off);
+  uint32_t h2 = Checksum32(page + off + 4, kPageSize - off - 4);
+  return h ^ (h2 * 16777619u) ^ 0x5bd1e995u;
+}
+
+TEST(PageChecksumTest, FnvStampedPageStillVerifies) {
+  char page[kPageSize];
+  ASSERT_NO_FATAL_FAILURE(FillLeaf(page, 20, 1));
+  Header(page)->checksum = FnvPageChecksum(page);
+  ASSERT_NE(Header(page)->checksum, ComputePageChecksum(page));
+  EXPECT_TRUE(VerifyPageChecksum(page));
+  page[3000] ^= 0x08;
+  EXPECT_FALSE(VerifyPageChecksum(page));
+}
+
+TEST(PageChecksumTest, KnownAnswerPinsTheOnDiskFunction) {
+  // Changing these values changes what every data file holds: pages
+  // stamped before the change would fail verification.
+  char page[kPageSize];
+  for (size_t i = 0; i < kPageSize; i++) {
+    page[i] = static_cast<char>(i * 131 + 7);
+  }
+  EXPECT_EQ(ComputePageChecksum(page), 0x2db81234u);
+  // The checksum field is read as zero.
+  Header(page)->checksum = 0;
+  EXPECT_EQ(ComputePageChecksum(page), 0x2db81234u);
+  memset(page, 0, kPageSize);
+  EXPECT_EQ(ComputePageChecksum(page), 0x02a367d5u);
 }
 
 // --------------------------- alloc map -------------------------------

@@ -397,7 +397,9 @@ TEST(RewinderTest, BackwardExtentsKeepCompressedAndArchivedRangesPerBlock) {
     ASSERT_NO_FATAL_FAILURE(BuildDenseChain(
         archived ? "extents_archived" : "extents_compressed", !archived,
         archived, &c));
-    if (!archived) ASSERT_GT(c.db->log()->stats().frames_written, 0u);
+    if (!archived) {
+      ASSERT_GT(c.db->log()->stats().frames_written, 0u);
+    }
     char rewound[kPageSize];
     const uint64_t reads = ColdRewind(&c, c.target, rewound);
     const std::set<uint64_t> blocks = ChainBlocks(&c, c.target);

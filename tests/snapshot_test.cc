@@ -739,7 +739,9 @@ TEST_P(SnapshotEquivalenceTest, MatchesRecordedHistory) {
     ASSERT_TRUE(db_->Commit(txn).ok());
     clock_->Advance(1);  // place the observation just after the commit
     history.push_back({clock_->NowMicros(), state});
-    if (rnd.Percent(25)) ASSERT_TRUE(db_->Checkpoint().ok());
+    if (rnd.Percent(25)) {
+      ASSERT_TRUE(db_->Checkpoint().ok());
+    }
   }
 
   // Probe a few random historical points plus the oldest and newest.
