@@ -1,8 +1,9 @@
 // Microbenchmarks for the log layer: record encode/decode, append
 // throughput through the wal surface (the paper's observation that
 // record COUNT, not size, limits throughput hinges on the per-append
-// synchronization this measures), random cursor reads, sequential
-// cursor scans, and the WAL-diet compressed flush path.
+// synchronization this measures), random cursor reads (alone and beside
+// a background appender), sequential cursor scans, and the WAL-diet
+// compressed flush path.
 //
 // `micro_log --smoke` skips the benchmarks and runs only the CI gate:
 // an FPI-heavy workload through a compressed Wal must shrink on disk
@@ -11,9 +12,13 @@
 
 #include <sys/stat.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "log/log_record.h"
 #include "page/page.h"
@@ -111,7 +116,11 @@ void BM_WriterStagedAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_WriterStagedAppend)->Arg(64)->Arg(512);
 
-void BM_CursorRandomRead(benchmark::State& state) {
+/// Random cursor seeks over 4000 flushed records. With `appender`, a
+/// background thread keeps appending and flushing meanwhile: the reads
+/// then race the writers' append lock and the flusher's cache
+/// invalidation, as AS OF mounts do beside live writers.
+void CursorRandomRead(benchmark::State& state, bool appender) {
   auto dir = std::filesystem::temp_directory_path() / "rewinddb_microbench";
   std::filesystem::create_directories(dir);
   auto path = (dir / "read.log").string();
@@ -131,6 +140,18 @@ void BM_CursorRandomRead(benchmark::State& state) {
     state.SkipWithError("flush failed");
     return;
   }
+  std::atomic<bool> stop{false};
+  std::thread writer;
+  if (appender) {
+    writer = std::thread([&] {
+      // Paced (8 records, a flush, 100 us) so the file stays small.
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (int i = 0; i < 8; i++) (*lm)->Append(rec);
+        (void)(*lm)->FlushAll();
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  }
   uint64_t x = 88172645463325252ULL;
   wal::Cursor cur = (*lm)->OpenCursor();
   for (auto _ : state) {
@@ -141,11 +162,24 @@ void BM_CursorRandomRead(benchmark::State& state) {
     benchmark::DoNotOptimize(s.ok() && cur.Valid());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  if (appender) {
+    stop.store(true);
+    writer.join();
+  }
   lm->reset();
   std::filesystem::remove(path);
 }
+
+void BM_CursorRandomRead(benchmark::State& state) {
+  CursorRandomRead(state, /*appender=*/false);
+}
 // Second arg: cache blocks (0 = every read is a device read).
 BENCHMARK(BM_CursorRandomRead)->Args({0, 0})->Args({0, 256});
+
+void BM_CursorRandomReadUnderAppends(benchmark::State& state) {
+  CursorRandomRead(state, /*appender=*/true);
+}
+BENCHMARK(BM_CursorRandomReadUnderAppends)->Args({0, 256});
 
 void BM_CursorSequentialScan(benchmark::State& state) {
   auto dir = std::filesystem::temp_directory_path() / "rewinddb_microbench";

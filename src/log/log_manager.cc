@@ -66,6 +66,46 @@ bool ParseFrameHeader(const char* hdr, uint32_t* ulen, uint32_t* clen,
   }
   return true;
 }
+
+/// The open scan's sequential reader: serves byte ranges of the active
+/// file from one buffered chunk of at least kOpenScanChunkBytes, and
+/// reads a new chunk starting at a range only when the range runs past
+/// the current one's end.
+class ScanReader {
+ public:
+  explicit ScanReader(int fd) : fd_(fd) {}
+
+  /// Up to `n` bytes at file offset `at`, fewer only where the file
+  /// ends (or cannot be read). Valid until the next call.
+  Slice Read(Lsn at, size_t n) {
+    if (at < start_ || at - start_ + n > len_) Fill(at, n);
+    const size_t off = at - start_;
+    return Slice(buf_.get() + off, std::min(n, len_ - off));
+  }
+
+ private:
+  void Fill(Lsn at, size_t n) {
+    const size_t want = std::max(n, LogManager::kOpenScanChunkBytes);
+    if (want > cap_) {
+      buf_ = std::make_unique<char[]>(want);
+      cap_ = want;
+    }
+    start_ = at;
+    len_ = 0;
+    while (len_ < want) {
+      ssize_t got = ::pread(fd_, buf_.get() + len_, want - len_,
+                            static_cast<off_t>(at + len_));
+      if (got <= 0) break;
+      len_ += static_cast<size_t>(got);
+    }
+  }
+
+  const int fd_;
+  std::unique_ptr<char[]> buf_;
+  size_t cap_ = 0;
+  Lsn start_ = 0;   // file offset of buf_[0]
+  size_t len_ = 0;  // bytes of buf_ holding file data
+};
 }  // namespace
 
 LogManager::LogManager(std::string path, int fd, DiskModel* disk,
@@ -143,44 +183,40 @@ Result<std::unique_ptr<LogManager>> LogManager::Open(const std::string& path,
   // parse -- an unknown future record type or a well-formed frame
   // header with a future version -- is a hard Corruption error, never
   // a silent end-of-log.
+  ScanReader file(fd);
   Lsn cursor = lm->start_lsn_.load();
   std::string ubuf;
+  LogRecord rec;  // every decode of the scan reuses its buffers
   while (true) {
-    char fh[kFrameHeaderSize];
-    ssize_t got = ::pread(fd, fh, sizeof(fh), static_cast<off_t>(cursor));
-    if (got < static_cast<ssize_t>(kLogLengthPrefix)) break;
-    uint32_t first;
-    memcpy(&first, fh, 4);
+    const Slice fh = file.Read(cursor, kFrameHeaderSize);
+    if (fh.size() < kLogLengthPrefix) break;
+    const uint32_t first = DecodeFixed32(fh.data());
     if (first == kFrameMagic) {
       uint32_t ulen = 0, clen = 0, psum = 0;
       bool future = false;
-      if (got < static_cast<ssize_t>(kFrameHeaderSize) ||
-          !ParseFrameHeader(fh, &ulen, &clen, &psum, &future)) {
+      if (fh.size() < kFrameHeaderSize ||
+          !ParseFrameHeader(fh.data(), &ulen, &clen, &psum, &future)) {
         if (future) {
           return Status::Corruption(
               "log: compression frame from a future format version");
         }
         break;  // torn frame header
       }
-      std::string cbuf(clen, '\0');
-      if (::pread(fd, cbuf.data(), clen,
-                  static_cast<off_t>(cursor + kFrameHeaderSize)) !=
-          static_cast<ssize_t>(clen)) {
-        break;  // torn payload
-      }
-      if (Checksum32(cbuf.data(), clen) != psum) break;
-      ubuf.assign(ulen, '\0');
-      if (!Decompress(cbuf.data(), clen, ubuf.data(), ulen).ok()) break;
+      const Slice frame = file.Read(cursor, kFrameHeaderSize + clen);
+      if (frame.size() != kFrameHeaderSize + clen) break;  // torn payload
+      const char* payload = frame.data() + kFrameHeaderSize;
+      if (Checksum32(payload, clen) != psum) break;
+      ubuf.resize(ulen);
+      if (!Decompress(payload, clen, ubuf.data(), ulen).ok()) break;
       // The frame checksummed clean, so its records must parse; a
       // failure here is real corruption, not a torn tail.
       size_t off = 0;
       while (off < ulen) {
         size_t consumed = 0;
-        auto rec = LogRecord::Decode(Slice(ubuf.data() + off, ulen - off),
-                                     &consumed);
-        if (!rec.ok()) return rec.status();
-        if (rec->type == LogType::kCheckpointBegin) {
-          lm->checkpoints_.push_back({cursor + off, rec->wall_clock});
+        REWIND_RETURN_IF_ERROR(LogRecord::DecodeInto(
+            Slice(ubuf.data() + off, ulen - off), &consumed, &rec));
+        if (rec.type == LogType::kCheckpointBegin) {
+          lm->checkpoints_.push_back({cursor + off, rec.wall_clock});
         }
         off += consumed;
       }
@@ -188,21 +224,23 @@ Result<std::unique_ptr<LogManager>> LogManager::Open(const std::string& path,
       cursor += ulen;
       continue;
     }
-    // Raw record: length prefix, whole-record read, checksum.
-    if (first < 8 || first > (64u << 20)) break;
-    std::string rbuf(first, '\0');
-    if (::pread(fd, rbuf.data(), first, static_cast<off_t>(cursor)) !=
-        static_cast<ssize_t>(first)) {
-      break;
-    }
-    uint32_t stored_sum;
-    memcpy(&stored_sum, rbuf.data() + 4, 4);
-    if (Checksum32(rbuf.data() + 8, first - 8) != stored_sum) break;
+    // Raw record: length prefix, whole record, checksum.
+    if (first < 8 || first > kMaxRecordBytes) break;
+    const Slice raw = file.Read(cursor, first);
+    if (raw.size() != first) break;  // torn record
     size_t consumed = 0;
-    auto rec = LogRecord::Decode(Slice(rbuf), &consumed);
-    if (!rec.ok()) return rec.status();  // checksummed but unparseable
-    if (rec->type == LogType::kCheckpointBegin) {
-      lm->checkpoints_.push_back({cursor, rec->wall_clock});
+    Status st = LogRecord::DecodeInto(raw, &consumed, &rec);
+    if (!st.ok()) {
+      // A record that fails its checksum is the torn tail; one that
+      // checksums clean but does not parse is corruption.
+      if (Checksum32(raw.data() + 8, first - 8) !=
+          DecodeFixed32(raw.data() + 4)) {
+        break;
+      }
+      return st;
+    }
+    if (rec.type == LogType::kCheckpointBegin) {
+      lm->checkpoints_.push_back({cursor, rec.wall_clock});
     }
     cursor += consumed;
   }
@@ -608,15 +646,18 @@ Lsn LogManager::oldest_available_lsn() const {
   return std::min(oldest, start);
 }
 
-Result<LogRecord> LogManager::ReadRecord(Lsn lsn, size_t* encoded_size,
-                                         wal::BackwardWindow* window) {
+Status LogManager::ReadRecord(Lsn lsn, LogRecord* out, size_t* encoded_size,
+                              wal::BackwardWindow* window) {
   if (lsn < start_lsn_.load() &&
       (archive_ == nullptr || !archive_->Covers(lsn))) {
     return Status::OutOfRange(
         "log record " + std::to_string(lsn) +
         " is older than the retention period (truncated)");
   }
-  {
+  // Below the flush frontier the bytes are on disk, their frames are
+  // published and stale cached blocks are gone (a flush stores
+  // flushed_lsn_ last), so the read needs no append_mu_.
+  if (lsn >= flushed_lsn_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> g(append_mu_);
     if (lsn >= next_lsn_) {
       return Status::InvalidArgument("read past log end");
@@ -624,24 +665,27 @@ Result<LogRecord> LogManager::ReadRecord(Lsn lsn, size_t* encoded_size,
     if (lsn >= tail_start_) {
       // Still in the unflushed tail: serve from memory, no IO.
       size_t off = lsn - tail_start_;
-      return ParseAt(tail_.data() + off, tail_.size() - off, encoded_size);
+      return ParseAt(tail_.data() + off, tail_.size() - off, out,
+                     encoded_size);
     }
     if (!flushing_.empty() && lsn >= flushing_start_) {
       // In the batch a flusher stole but has not finished writing.
       size_t off = lsn - flushing_start_;
-      return ParseAt(flushing_.data() + off, flushing_.size() - off,
+      return ParseAt(flushing_.data() + off, flushing_.size() - off, out,
                      encoded_size);
     }
+    // A flush completed since the frontier check: read the file.
   }
-  return ReadFromFile(lsn, encoded_size, window);
+  return ReadFromFile(lsn, out, encoded_size, window);
 }
 
-Result<LogRecord> LogManager::ParseAt(const char* data, size_t avail,
-                                      size_t* encoded_size) const {
+Status LogManager::ParseAt(const char* data, size_t avail, LogRecord* out,
+                           size_t* encoded_size) {
   size_t consumed = 0;
-  auto rec = LogRecord::Decode(Slice(data, avail), &consumed);
-  if (rec.ok() && encoded_size != nullptr) *encoded_size = consumed;
-  return rec;
+  REWIND_RETURN_IF_ERROR(
+      LogRecord::DecodeInto(Slice(data, avail), &consumed, out));
+  if (encoded_size != nullptr) *encoded_size = consumed;
+  return Status::OK();
 }
 
 Result<std::shared_ptr<std::string>> LogManager::FetchBlock(
@@ -650,9 +694,7 @@ Result<std::shared_ptr<std::string>> LogManager::FetchBlock(
     std::lock_guard<std::mutex> g(cache_mu_);
     auto it = cache_.find(idx);
     if (it != cache_.end()) {
-      lru_.erase(it->second.lru_it);
-      lru_.push_front(idx);
-      it->second.lru_it = lru_.begin();
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // node reused
       if (stats_ != nullptr) stats_->log_read_hits++;
       return it->second.block;
     }
@@ -840,44 +882,52 @@ void LogManager::PrefetchBlock(Lsn lsn) {
   (void)block;
 }
 
-Result<LogRecord> LogManager::ReadFromFile(Lsn lsn, size_t* encoded_size,
-                                           wal::BackwardWindow* window) {
-  // Assemble the record (which may straddle block boundaries): first get
-  // enough bytes for the length prefix, then the rest. Only the first
+Status LogManager::ReadFromFile(Lsn lsn, LogRecord* out, size_t* encoded_size,
+                                wal::BackwardWindow* window) {
+  // Decode a record that lies inside one block straight from the cached
+  // block; gather only a straddling record's own bytes. Only the first
   // block can start a backward extent: a straddle continues upward.
-  std::string buf;
   uint64_t idx = lsn / kBlockSize;
-  size_t in_block = lsn % kBlockSize;
+  const size_t in_block = lsn % kBlockSize;
   REWIND_ASSIGN_OR_RETURN(std::shared_ptr<std::string> block,
                           FetchBlock(idx, window));
   if (block->size() <= in_block) {
     return Status::Corruption("log read past end of file");
   }
-  buf.append(block->data() + in_block, block->size() - in_block);
-  uint32_t len = LogRecord::PeekLength(Slice(buf));
-  if (len == 0 && buf.size() < kLogLengthPrefix) {
-    // Length prefix itself straddles: pull the next block.
-    REWIND_ASSIGN_OR_RETURN(std::shared_ptr<std::string> nb,
-                            FetchBlock(idx + 1));
-    buf.append(*nb);
-    len = LogRecord::PeekLength(Slice(buf));
-    idx++;
+  const Slice head(block->data() + in_block, block->size() - in_block);
+  uint32_t len = LogRecord::PeekLength(head);
+  std::shared_ptr<std::string> next;
+  if (head.size() < kLogLengthPrefix) {
+    // Length prefix itself straddles: its rest opens the next block.
+    REWIND_ASSIGN_OR_RETURN(next, FetchBlock(++idx));
+    const size_t need = kLogLengthPrefix - head.size();
+    if (next->size() >= need) {
+      char prefix[kLogLengthPrefix];
+      memcpy(prefix, head.data(), head.size());
+      memcpy(prefix + head.size(), next->data(), need);
+      len = DecodeFixed32(prefix);
+    }
   }
-  if (len == 0 || len > (64 << 20)) {
+  if (len == 0 || len > kMaxRecordBytes) {
     return Status::Corruption("log record: implausible length");
   }
+  if (len <= head.size()) {
+    return ParseAt(head.data(), len, out, encoded_size);
+  }
+  std::string buf;
+  buf.reserve(len);
+  buf.append(head.data(), head.size());
   while (buf.size() < len) {
-    idx++;
-    auto nb = FetchBlock(idx);
-    if (!nb.ok()) return nb.status();
-    if ((*nb)->empty()) {
+    if (next == nullptr) {
+      REWIND_ASSIGN_OR_RETURN(next, FetchBlock(++idx));
+    }
+    if (next->empty()) {
       return Status::Corruption("log record truncated");
     }
-    buf.append(**nb);
+    buf.append(next->data(), std::min(next->size(), len - buf.size()));
+    next.reset();
   }
-  if (encoded_size != nullptr) *encoded_size = len;
-  size_t consumed;
-  return LogRecord::Decode(Slice(buf.data(), len), &consumed);
+  return ParseAt(buf.data(), len, out, encoded_size);
 }
 
 std::vector<CheckpointRef> LogManager::checkpoints() const {

@@ -107,7 +107,10 @@ class LogManager {
                                                     Options opts = Options());
 
   /// Open an existing log: scans to the end to find next_lsn and
-  /// rebuilds the checkpoint directory.
+  /// rebuilds the checkpoint and frame directories. The scan reads the
+  /// active file in kOpenScanChunkBytes sequential chunks and refills
+  /// only when a frame or record straddles a chunk's end; it decodes
+  /// every record into one reused LogRecord.
   static Result<std::unique_ptr<LogManager>> Open(const std::string& path,
                                                   DiskModel* disk,
                                                   IoStats* stats,
@@ -230,13 +233,22 @@ class LogManager {
   LogManager(std::string path, int fd, DiskModel* disk, IoStats* stats,
              Options opts);
 
-  /// Random-access read of the record at `lsn`. Sets `*encoded_size`
-  /// (if non-null) to the record's on-log length so iteration can
+  /// Random-access read of the record at `lsn`, decoded into `*out`
+  /// (LogRecord::DecodeInto: its buffers are reused). Sets
+  /// `*encoded_size` to the record's on-log length so iteration can
   /// advance without re-encoding. With a `window`, a cache miss on the
   /// record's first block may read a backward extent (see
   /// ReadBackwardExtent). wal::Cursor is the only consumer.
-  Result<LogRecord> ReadRecord(Lsn lsn, size_t* encoded_size = nullptr,
-                               wal::BackwardWindow* window = nullptr);
+  ///
+  /// An LSN below flushed_lsn() is served from the block cache without
+  /// append_mu_: a flush publishes flushed_lsn_ only after its write,
+  /// its frames and its cache invalidation, so those bytes are stable.
+  /// A record inside one cached block decodes in place; one that
+  /// straddles blocks copies only its own bytes. Only the unflushed
+  /// tail and the batch a flusher is writing are read under append_mu_,
+  /// from memory. On failure `*out` is unspecified.
+  Status ReadRecord(Lsn lsn, LogRecord* out, size_t* encoded_size,
+                    wal::BackwardWindow* window = nullptr);
 
   /// Warm the cache with the 32 KiB block holding `lsn` (sequential
   /// scan prefetch). No-op when the cache is disabled.
@@ -274,19 +286,25 @@ class LogManager {
   /// Insert `block` as the most recently used entry unless `idx` is
   /// cached already, evicting down to capacity. cache_mu_ held.
   void CacheLocked(uint64_t idx, std::shared_ptr<std::string> block);
-  Result<LogRecord> ReadFromFile(Lsn lsn, size_t* encoded_size,
-                                 wal::BackwardWindow* window);
-  Result<LogRecord> ParseAt(const char* data, size_t avail,
-                            size_t* encoded_size) const;
+  Status ReadFromFile(Lsn lsn, LogRecord* out, size_t* encoded_size,
+                      wal::BackwardWindow* window);
+  static Status ParseAt(const char* data, size_t avail, LogRecord* out,
+                        size_t* encoded_size);
   void NoteCheckpoint(const LogRecord& rec, Lsn lsn);
 
-  static constexpr size_t kBlockSize = 32 * 1024;
   static constexpr Lsn kFirstLsn = 64;  // log header occupies [0, 64)
   /// Cap on a backward extent, in blocks. Measured on the investigate
   /// workload (simulated SSD), 32 blocks did no better than 8.
   static constexpr size_t kMaxBackwardExtentBlocks = 8;
 
  public:
+  /// Log block: the unit of the read cache and of a cache-miss read.
+  static constexpr size_t kBlockSize = 32 * 1024;
+  /// Read size of Open's sequential scan of the active file.
+  static constexpr size_t kOpenScanChunkBytes = 1 << 20;
+  /// Ceiling on a record's length prefix; anything longer is corrupt.
+  static constexpr uint32_t kMaxRecordBytes = 64u << 20;
+
   // Frame format constants (public: the archive tier and tests share
   // them).
   /// First 4 bytes of a frame. Chosen far above the 64 MiB record

@@ -153,6 +153,32 @@ uint32_t LogRecord::PeekLength(Slice data) {
 }
 
 Result<LogRecord> LogRecord::Decode(Slice data, size_t* consumed) {
+  LogRecord rec;
+  REWIND_RETURN_IF_ERROR(DecodeInto(data, consumed, &rec));
+  return rec;
+}
+
+namespace {
+/// Return `r` to a default record while keeping the capacity of its
+/// strings and vectors.
+void ResetKeepingCapacity(LogRecord* r) {
+  std::string image = std::move(r->image);
+  std::string image2 = std::move(r->image2);
+  std::vector<AttEntry> att = std::move(r->att);
+  std::vector<DptEntry> dpt = std::move(r->dpt);
+  *r = LogRecord();
+  r->image = std::move(image);
+  r->image.clear();
+  r->image2 = std::move(image2);
+  r->image2.clear();
+  r->att = std::move(att);
+  r->att.clear();
+  r->dpt = std::move(dpt);
+  r->dpt.clear();
+}
+}  // namespace
+
+Status LogRecord::DecodeInto(Slice data, size_t* consumed, LogRecord* out) {
   if (data.size() < kFixedHeader) {
     return Status::Corruption("log record: short header");
   }
@@ -166,7 +192,8 @@ Result<LogRecord> LogRecord::Decode(Slice data, size_t* consumed) {
     return Status::Corruption("log record: checksum mismatch");
   }
 
-  LogRecord rec;
+  ResetKeepingCapacity(out);
+  LogRecord& rec = *out;
   Decoder dec(Slice(data.data() + 8, len - 8));
   Slice b;
   if (!dec.GetBytes(1, &b)) return Status::Corruption("log: type");
@@ -219,15 +246,15 @@ Result<LogRecord> LogRecord::Decode(Slice data, size_t* consumed) {
     case LogType::kDelete: {
       Slice img;
       if (!dec.GetLengthPrefixed(&img)) return Status::Corruption("log: image");
-      rec.image = img.ToString();
+      rec.image.assign(img.data(), img.size());
       break;
     }
     case LogType::kUpdate: {
       Slice img;
       if (!dec.GetLengthPrefixed(&img)) return Status::Corruption("log: image");
-      rec.image = img.ToString();
+      rec.image.assign(img.data(), img.size());
       if (!dec.GetLengthPrefixed(&img)) return Status::Corruption("log: image2");
-      rec.image2 = img.ToString();
+      rec.image2.assign(img.data(), img.size());
       break;
     }
     case LogType::kClr: {
@@ -235,11 +262,11 @@ Result<LogRecord> LogRecord::Decode(Slice data, size_t* consumed) {
         return Status::Corruption("log: undo_next");
       Slice img;
       if (!dec.GetLengthPrefixed(&img)) return Status::Corruption("log: image");
-      rec.image = img.ToString();
+      rec.image.assign(img.data(), img.size());
       if (op == LogType::kUpdate) {
         if (!dec.GetLengthPrefixed(&img))
           return Status::Corruption("log: image2");
-        rec.image2 = img.ToString();
+        rec.image2.assign(img.data(), img.size());
       }
       if (op == LogType::kAllocBits && !get_bits(&rec))
         return Status::Corruption("log: clr alloc bits");
@@ -262,7 +289,7 @@ Result<LogRecord> LogRecord::Decode(Slice data, size_t* consumed) {
     case LogType::kFpiDelta: {
       Slice img;
       if (!dec.GetLengthPrefixed(&img)) return Status::Corruption("log: fpi");
-      rec.image = img.ToString();
+      rec.image.assign(img.data(), img.size());
       break;
     }
     case LogType::kAllocBits:
@@ -306,7 +333,7 @@ Result<LogRecord> LogRecord::Decode(Slice data, size_t* consumed) {
   }
 
   *consumed = len;
-  return rec;
+  return Status::OK();
 }
 
 std::string LogRecord::DebugString() const {

@@ -140,6 +140,16 @@ struct LogRecord {
   /// `*consumed` to the record's total encoded length.
   static Result<LogRecord> Decode(Slice data, size_t* consumed);
 
+  /// Decode one record from the start of `data` into `*out`, reusing
+  /// its string and vector capacity: a chain walk that decodes every
+  /// step into the same record allocates nothing once the buffers have
+  /// grown. On success every field of `*out` is the decoded record's
+  /// (nothing survives from the previous decode) and `*consumed` is its
+  /// encoded length. A length or checksum failure leaves `*out`
+  /// untouched; a record that checksums clean but does not parse
+  /// leaves it unspecified.
+  static Status DecodeInto(Slice data, size_t* consumed, LogRecord* out);
+
   /// Total length of the record starting at `data` (from the length
   /// header alone); 0 if data is too short to tell.
   static uint32_t PeekLength(Slice data);

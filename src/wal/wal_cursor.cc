@@ -13,15 +13,15 @@ Status Cursor::LoadAt(Lsn lsn, bool benign_corruption,
   valid_ = false;
   if (lsn == kInvalidLsn) return Status::OK();  // chain end
   size_t size = 0;
-  auto rec = core_->ReadRecord(lsn, &size, window);
-  if (rec.ok()) {
-    rec_ = std::move(*rec);
+  // Decoding into rec_ reuses its buffers: a chain walk allocates
+  // nothing per step.
+  Status s = core_->ReadRecord(lsn, &rec_, &size, window);
+  if (s.ok()) {
     lsn_ = lsn;
     size_ = size;
     valid_ = true;
     return Status::OK();
   }
-  const Status& s = rec.status();
   if (s.IsInvalidArgument()) {
     // At or past the append frontier: the benign end of a forward scan.
     return Status::OK();

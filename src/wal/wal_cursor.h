@@ -67,7 +67,10 @@ class Cursor {
   /// LSN of the current record. Undefined unless Valid().
   Lsn lsn() const { return lsn_; }
 
-  /// The current record. Undefined unless Valid().
+  /// The current record. Undefined unless Valid(): a failed or
+  /// invalidating read may leave it partly overwritten, since every
+  /// read decodes into this one record to reuse its buffers. The next
+  /// successful read replaces every field.
   const LogRecord& record() const { return rec_; }
 
   /// LSN one past the current record (the next record's position in a

@@ -1,16 +1,27 @@
 // Tests for the log record codec and the log manager: round-trips for
 // every record type, append/flush/read, reopen after crash, truncation
-// (retention), checkpoint directory, block cache accounting.
+// (retention), checkpoint directory, block cache accounting, and the
+// in-place read path's edges (block ends, straddles, the flush
+// frontier under concurrent appends, LRU order, reuse after failure).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/coding.h"
 #include "io/disk_model.h"
 #include "io/io_stats.h"
+#include "log/log_manager.h"
 #include "log/log_record.h"
 #include "page/page.h"
 #include "wal/wal.h"
@@ -53,6 +64,42 @@ struct CodecCase {
 
 class LogRecordCodecTest : public ::testing::TestWithParam<CodecCase> {};
 
+void ExpectSameRecord(const LogRecord& out, const LogRecord& in) {
+  EXPECT_EQ(out.type, in.type);
+  EXPECT_EQ(out.clr_op, in.clr_op);
+  EXPECT_EQ(out.is_system, in.is_system);
+  EXPECT_EQ(out.txn_id, in.txn_id);
+  EXPECT_EQ(out.prev_lsn, in.prev_lsn);
+  EXPECT_EQ(out.prev_page_lsn, in.prev_page_lsn);
+  EXPECT_EQ(out.prev_fpi_lsn, in.prev_fpi_lsn);
+  EXPECT_EQ(out.page_id, in.page_id);
+  EXPECT_EQ(out.tree_id, in.tree_id);
+  EXPECT_EQ(out.slot, in.slot);
+  EXPECT_EQ(out.image, in.image);
+  EXPECT_EQ(out.image2, in.image2);
+  EXPECT_EQ(out.wall_clock, in.wall_clock);
+  EXPECT_EQ(out.undo_next_lsn, in.undo_next_lsn);
+  EXPECT_EQ(out.fmt_type, in.fmt_type);
+  EXPECT_EQ(out.fmt_level, in.fmt_level);
+  EXPECT_EQ(out.alloc_bit, in.alloc_bit);
+  EXPECT_EQ(out.alloc_new, in.alloc_new);
+  EXPECT_EQ(out.ever_new, in.ever_new);
+  EXPECT_EQ(out.alloc_old, in.alloc_old);
+  EXPECT_EQ(out.ever_old, in.ever_old);
+  EXPECT_EQ(out.sibling_new, in.sibling_new);
+  EXPECT_EQ(out.sibling_old, in.sibling_old);
+  ASSERT_EQ(out.att.size(), in.att.size());
+  for (size_t i = 0; i < in.att.size(); i++) {
+    EXPECT_EQ(out.att[i].txn_id, in.att[i].txn_id);
+    EXPECT_EQ(out.att[i].last_lsn, in.att[i].last_lsn);
+  }
+  ASSERT_EQ(out.dpt.size(), in.dpt.size());
+  for (size_t i = 0; i < in.dpt.size(); i++) {
+    EXPECT_EQ(out.dpt[i].page_id, in.dpt[i].page_id);
+    EXPECT_EQ(out.dpt[i].rec_lsn, in.dpt[i].rec_lsn);
+  }
+}
+
 TEST_P(LogRecordCodecTest, RoundTrip) {
   const LogRecord& in = GetParam().rec;
   std::string buf;
@@ -61,39 +108,7 @@ TEST_P(LogRecordCodecTest, RoundTrip) {
   auto out = LogRecord::Decode(buf, &consumed);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(consumed, buf.size());
-  EXPECT_EQ(out->type, in.type);
-  EXPECT_EQ(out->clr_op, in.clr_op);
-  EXPECT_EQ(out->is_system, in.is_system);
-  EXPECT_EQ(out->txn_id, in.txn_id);
-  EXPECT_EQ(out->prev_lsn, in.prev_lsn);
-  EXPECT_EQ(out->prev_page_lsn, in.prev_page_lsn);
-  EXPECT_EQ(out->prev_fpi_lsn, in.prev_fpi_lsn);
-  EXPECT_EQ(out->page_id, in.page_id);
-  EXPECT_EQ(out->tree_id, in.tree_id);
-  EXPECT_EQ(out->slot, in.slot);
-  EXPECT_EQ(out->image, in.image);
-  EXPECT_EQ(out->image2, in.image2);
-  EXPECT_EQ(out->wall_clock, in.wall_clock);
-  EXPECT_EQ(out->undo_next_lsn, in.undo_next_lsn);
-  EXPECT_EQ(out->fmt_type, in.fmt_type);
-  EXPECT_EQ(out->fmt_level, in.fmt_level);
-  EXPECT_EQ(out->alloc_bit, in.alloc_bit);
-  EXPECT_EQ(out->alloc_new, in.alloc_new);
-  EXPECT_EQ(out->ever_new, in.ever_new);
-  EXPECT_EQ(out->alloc_old, in.alloc_old);
-  EXPECT_EQ(out->ever_old, in.ever_old);
-  EXPECT_EQ(out->sibling_new, in.sibling_new);
-  EXPECT_EQ(out->sibling_old, in.sibling_old);
-  ASSERT_EQ(out->att.size(), in.att.size());
-  for (size_t i = 0; i < in.att.size(); i++) {
-    EXPECT_EQ(out->att[i].txn_id, in.att[i].txn_id);
-    EXPECT_EQ(out->att[i].last_lsn, in.att[i].last_lsn);
-  }
-  ASSERT_EQ(out->dpt.size(), in.dpt.size());
-  for (size_t i = 0; i < in.dpt.size(); i++) {
-    EXPECT_EQ(out->dpt[i].page_id, in.dpt[i].page_id);
-    EXPECT_EQ(out->dpt[i].rec_lsn, in.dpt[i].rec_lsn);
-  }
+  ExpectSameRecord(*out, in);
 }
 
 std::vector<CodecCase> CodecCases() {
@@ -246,6 +261,38 @@ INSTANTIATE_TEST_SUITE_P(AllTypes, LogRecordCodecTest,
                          [](const ::testing::TestParamInfo<CodecCase>& info) {
                            return std::string(info.param.name);
                          });
+
+TEST(LogRecordTest, DecodeIntoReplacesEveryField) {
+  // One record decoded into over and over, as a cursor does, must read
+  // exactly like a fresh decode each time: nothing of the previous
+  // record survives, in either direction between any two types.
+  const std::vector<CodecCase> cases = CodecCases();
+  LogRecord reused;
+  for (int pass = 0; pass < 2; pass++) {
+    for (size_t i = 0; i < cases.size(); i++) {
+      const CodecCase& c = cases[pass == 0 ? i : cases.size() - 1 - i];
+      SCOPED_TRACE(c.name);
+      std::string buf;
+      c.rec.EncodeTo(&buf);
+      size_t consumed = 0;
+      ASSERT_TRUE(LogRecord::DecodeInto(buf, &consumed, &reused).ok());
+      EXPECT_EQ(consumed, buf.size());
+      ExpectSameRecord(reused, c.rec);
+    }
+  }
+}
+
+TEST(LogRecordTest, DecodeIntoLeavesRecordOnChecksumFailure) {
+  LogRecord r = MakeInsert(1, 2, 3, "entry");
+  std::string buf;
+  r.EncodeTo(&buf);
+  LogRecord out;
+  size_t consumed = 0;
+  ASSERT_TRUE(LogRecord::DecodeInto(buf, &consumed, &out).ok());
+  buf[20] ^= 0x01;
+  EXPECT_TRUE(LogRecord::DecodeInto(buf, &consumed, &out).IsCorruption());
+  ExpectSameRecord(out, r);
+}
 
 TEST(LogRecordTest, DecodeRejectsCorruptedBytes) {
   LogRecord r = MakeInsert(1, 2, 3, "entry");
@@ -633,6 +680,235 @@ TEST_F(WalTest, SimulatedLatencyChargedOnMisses) {
   ASSERT_TRUE(ReadAt(lm->get(), a).ok());
   // A SAS random read costs ~6.5ms of simulated time.
   EXPECT_GE(clock.NowMicros() - before, 6000u);
+}
+
+// ------------------------ in-place read edges --------------------------
+
+constexpr Lsn kBlock = LogManager::kBlockSize;
+
+/// Append filler inserts until the log's next LSN is exactly `target`.
+void FillTo(wal::Wal* w, Lsn target) {
+  const size_t overhead = MakeInsert(1, 2, 0, "").EncodedSize();
+  while (w->next_lsn() < target) {
+    const size_t gap = target - w->next_lsn();
+    ASSERT_GE(gap, overhead) << "cannot land exactly on " << target;
+    const size_t entry = gap >= 1000 + 2 * overhead ? 1000 : gap - overhead;
+    w->Append(MakeInsert(1, 2, 0, std::string(entry, 'f')));
+  }
+  ASSERT_EQ(w->next_lsn(), target);
+}
+
+TEST_F(WalTest, RecordEndingExactlyAtBlockEnd) {
+  auto lm = wal::Wal::Create(path_, nullptr, &stats_);
+  ASSERT_TRUE(lm.ok());
+  FillTo(lm->get(), kBlock - 200);
+  const std::string entry(200 - MakeInsert(1, 2, 0, "").EncodedSize(), 'e');
+  Lsn a = (*lm)->Append(MakeInsert(1, 2, 7, entry));
+  ASSERT_EQ((*lm)->next_lsn(), kBlock);
+  Lsn b = (*lm)->Append(MakeInsert(1, 2, 8, "next block"));
+  ASSERT_TRUE((*lm)->FlushAll().ok());
+  (*lm)->DropCache();
+  stats_.Reset();
+  auto ra = ReadAt(lm->get(), a);
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  EXPECT_EQ(ra->image, entry);
+  EXPECT_EQ(ra->slot, 7);
+  // Decoded from its own block alone: the next one was never fetched.
+  EXPECT_EQ(stats_.log_read_misses.load(), 1u);
+  EXPECT_EQ(stats_.log_read_hits.load(), 0u);
+  auto rb = ReadAt(lm->get(), b);
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  EXPECT_EQ(rb->image, "next block");
+  EXPECT_EQ(stats_.log_read_misses.load(), 2u);
+}
+
+TEST_F(WalTest, LengthPrefixSplitAcrossBlocks) {
+  // 1, 2 or 3 of the 4 prefix bytes lie before the block boundary. The
+  // record is longer than 255 bytes, so with a 1-byte split the prefix
+  // bytes past the boundary are not all zero.
+  const std::string entry(300, 'p');
+  for (Lsn split : {1, 2, 3}) {
+    SCOPED_TRACE(split);
+    auto lm = wal::Wal::Create(path_, nullptr, &stats_);
+    ASSERT_TRUE(lm.ok());
+    FillTo(lm->get(), kBlock - split);
+    Lsn a = (*lm)->Append(MakeInsert(3, 4, 5, entry));
+    Lsn b = (*lm)->Append(MakeInsert(3, 4, 6, "after"));
+    ASSERT_TRUE((*lm)->FlushAll().ok());
+    (*lm)->DropCache();
+    stats_.Reset();
+    auto ra = ReadAt(lm->get(), a);
+    ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+    EXPECT_EQ(ra->image, entry);
+    EXPECT_EQ(ra->txn_id, 3u);
+    EXPECT_EQ(stats_.log_read_misses.load(), 2u);
+    // A forward scan steps over the split record onto the next one.
+    wal::Cursor cur = (*lm)->OpenCursor();
+    ASSERT_TRUE(cur.SeekTo(a).ok());
+    ASSERT_TRUE(cur.Next().ok());
+    ASSERT_TRUE(cur.Valid());
+    EXPECT_EQ(cur.lsn(), b);
+    EXPECT_EQ(cur.record().image, "after");
+  }
+}
+
+TEST_F(WalTest, CheckpointEndSpanningThreeBlocks) {
+  auto lm = wal::Wal::Create(path_, nullptr, &stats_);
+  ASSERT_TRUE(lm.ok());
+  FillTo(lm->get(), kBlock - 100);
+  LogRecord end;
+  end.type = LogType::kCheckpointEnd;
+  end.wall_clock = 4242;
+  end.att = {{11, 1111}, {12, 2222}};
+  for (uint32_t i = 0; i < 5000; i++) end.dpt.push_back({i, 64 + i * 8});
+  Lsn e = (*lm)->Append(end);
+  // Starts 100 bytes before block 1 and ends inside block 2.
+  ASSERT_EQ(e / kBlock, 0u);
+  ASSERT_EQ(((*lm)->next_lsn() - 1) / kBlock, 2u);
+  ASSERT_TRUE((*lm)->FlushAll().ok());
+  (*lm)->DropCache();
+  stats_.Reset();
+  auto re = ReadAt(lm->get(), e);
+  ASSERT_TRUE(re.ok()) << re.status().ToString();
+  ExpectSameRecord(*re, end);
+  EXPECT_EQ(stats_.log_read_misses.load(), 3u);
+  EXPECT_EQ(stats_.log_read_hits.load(), 0u);
+}
+
+TEST_F(WalTest, ReadsAroundFlushFrontierWhileAppending) {
+  auto lm = wal::Wal::Create(path_, nullptr, &stats_);
+  ASSERT_TRUE(lm.ok());
+  wal::Wal* w = lm->get();
+  auto payload = [](size_t i) { return "rec" + std::to_string(i); };
+  std::mutex mu;
+  std::vector<Lsn> lsns;  // lsns[i] holds payload(i)
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (size_t i = 0; i < 3000; i++) {
+      Lsn lsn = w->Append(MakeInsert(1, 2, 0, payload(i)));
+      {
+        std::lock_guard<std::mutex> g(mu);
+        lsns.push_back(lsn);
+      }
+      if (i % 8 == 7) {
+        EXPECT_TRUE(w->FlushAll().ok());
+      }
+    }
+    done = true;
+  });
+  auto expect_at = [&](size_t i, Lsn lsn) {
+    auto r = ReadAt(w, lsn);
+    ASSERT_TRUE(r.ok()) << "lsn " << lsn << ": " << r.status().ToString();
+    EXPECT_EQ(r->image, payload(i));
+  };
+  size_t rounds = 0;
+  while (!done.load() || rounds == 0) {
+    rounds++;
+    const Lsn flushed = w->flushed_lsn();
+    std::vector<Lsn> seen;
+    {
+      std::lock_guard<std::mutex> g(mu);
+      seen = lsns;
+    }
+    if (seen.empty()) continue;
+    // The first record at or past the frontier, the one just below it,
+    // and the newest (usually still in the unflushed tail).
+    const size_t k = static_cast<size_t>(
+        std::lower_bound(seen.begin(), seen.end(), flushed) - seen.begin());
+    if (k > 0) expect_at(k - 1, seen[k - 1]);
+    if (k < seen.size()) expect_at(k, seen[k]);
+    expect_at(seen.size() - 1, seen.back());
+  }
+  writer.join();
+  ASSERT_TRUE(w->FlushAll().ok());
+  for (size_t i = 0; i < lsns.size(); i += 97) expect_at(i, lsns[i]);
+}
+
+TEST_F(WalTest, CacheHitKeepsLruOrder) {
+  wal::WalOptions opts;
+  opts.cache_blocks = 2;
+  auto lm = wal::Wal::Create(path_, nullptr, &stats_, opts);
+  ASSERT_TRUE(lm.ok());
+  Lsn a = (*lm)->Append(MakeInsert(1, 2, 0, "A"));
+  FillTo(lm->get(), kBlock);
+  Lsn b = (*lm)->Append(MakeInsert(1, 2, 0, "B"));
+  FillTo(lm->get(), 2 * kBlock);
+  Lsn c = (*lm)->Append(MakeInsert(1, 2, 0, "C"));
+  ASSERT_TRUE((*lm)->FlushAll().ok());
+  (*lm)->DropCache();
+  stats_.Reset();
+  auto read = [&](Lsn lsn, const char* image) {
+    auto r = ReadAt(lm->get(), lsn);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->image, image);
+  };
+  read(a, "A");  // miss
+  read(b, "B");  // miss
+  read(a, "A");  // hit: A becomes the most recently used
+  read(c, "C");  // miss: evicts B, the least recently used
+  EXPECT_EQ(stats_.log_read_misses.load(), 3u);
+  EXPECT_EQ(stats_.log_read_hits.load(), 1u);
+  read(a, "A");  // still cached
+  EXPECT_EQ(stats_.log_read_hits.load(), 2u);
+  EXPECT_EQ(stats_.log_read_misses.load(), 3u);
+  read(b, "B");  // was evicted
+  EXPECT_EQ(stats_.log_read_misses.load(), 4u);
+}
+
+TEST_F(WalTest, FailedReadLeavesCursorInvalidAndNextReadClean) {
+  auto lm = wal::Wal::Create(path_, nullptr, &stats_);
+  ASSERT_TRUE(lm.ok());
+  LogRecord upd;
+  upd.type = LogType::kUpdate;
+  upd.txn_id = 5;
+  upd.prev_lsn = 100;
+  upd.prev_page_lsn = 90;
+  upd.prev_fpi_lsn = 80;
+  upd.page_id = 6;
+  upd.tree_id = 7;
+  upd.slot = 8;
+  upd.image = "old row";
+  upd.image2 = "new row";
+  Lsn u = (*lm)->Append(upd);
+  // Overwritten below with a record that checksums clean but does not
+  // parse: a decode that fails after it started filling the record.
+  Lsn x = (*lm)->Append(MakeInsert(1, 2, 0, "abcdef"));
+  LogRecord del;
+  del.type = LogType::kDelete;
+  del.txn_id = 9;
+  del.page_id = 10;
+  del.tree_id = 11;
+  del.slot = 12;
+  del.image = "gone";
+  Lsn d = (*lm)->Append(del);
+  ASSERT_TRUE((*lm)->FlushAll().ok());
+  {
+    std::string bad;
+    MakeInsert(1, 2, 0, "abcdef").EncodeTo(&bad);
+    bad[8] = static_cast<char>(LogType::kUpdate);  // no image2 follows
+    const uint32_t sum = Checksum32(bad.data() + 8, bad.size() - 8);
+    memcpy(bad.data() + 4, &sum, 4);
+    int fd = ::open(path_.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pwrite(fd, bad.data(), bad.size(), static_cast<off_t>(x)),
+              static_cast<ssize_t>(bad.size()));
+    ::close(fd);
+  }
+  (*lm)->DropCache();
+
+  wal::Cursor cur = (*lm)->OpenCursor();
+  ASSERT_TRUE(cur.SeekTo(u).ok());
+  ASSERT_TRUE(cur.Valid());
+  ExpectSameRecord(cur.record(), upd);
+  EXPECT_TRUE(cur.SeekTo(x).IsCorruption());
+  EXPECT_FALSE(cur.Valid());
+  EXPECT_TRUE(cur.SeekTo(u + 1).IsCorruption());  // mid-record
+  EXPECT_FALSE(cur.Valid());
+  ASSERT_TRUE(cur.SeekTo(d).ok());
+  ASSERT_TRUE(cur.Valid());
+  EXPECT_EQ(cur.lsn(), d);
+  ExpectSameRecord(cur.record(), del);
+  EXPECT_TRUE(cur.record().image2.empty());
 }
 
 }  // namespace

@@ -1,18 +1,28 @@
 // The WAL redesign's contract tests: per-CommitMode crash durability
 // (kill the engine between Append and flush, reopen, check what
 // survived), the group-commit pipeline under a multi-threaded commit
-// storm (monotone flushed_lsn, no lost commits), and the Writer's
-// staged-BEGIN publish.
+// storm (monotone flushed_lsn, no lost commits), the Writer's
+// staged-BEGIN publish, and the reopen scan's chunk boundary (a raw
+// record, a compression frame, a torn tail and a future-version frame
+// header at the end of its first read chunk).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "engine/database.h"
 #include "engine/table.h"
+#include "log/log_manager.h"
+#include "log/log_record.h"
+#include "wal/wal.h"
 
 namespace rewinddb {
 namespace {
@@ -273,6 +283,218 @@ TEST_F(WalDurabilityTest, PerTxnCommitModeOverridesEngineDefault) {
   ASSERT_TRUE(db.ok());
   db_ = std::move(*db);
   EXPECT_TRUE(RowPresent(7));
+}
+
+// ------------------- reopen scan: the chunk boundary -------------------
+
+LogRecord ScanInsert(uint16_t slot, const std::string& entry) {
+  LogRecord r;
+  r.type = LogType::kInsert;
+  r.txn_id = 1;
+  r.page_id = 2;
+  r.tree_id = 3;
+  r.slot = slot;
+  r.image = entry;
+  return r;
+}
+
+class WalOpenScanTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() / "rewinddb_wal_scan" /
+            ::testing::UnitTest::GetInstance()->current_test_info()->name())
+               .string();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    path_ = dir_ + "/log.rwdb";
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  static wal::WalOptions Opts(bool compression) {
+    wal::WalOptions o;
+    o.flush_interval_micros = 0;  // one FlushAll, one batch
+    o.compression = compression;
+    return o;
+  }
+
+  /// First byte past the reopen scan's first chunk of a fresh log.
+  static Lsn Boundary(wal::Wal* w) {
+    return w->start_lsn() + LogManager::kOpenScanChunkBytes;
+  }
+
+  /// Append inserts until the next LSN is exactly `target`, recording
+  /// each (lsn, entry).
+  void FillTo(wal::Wal* w, Lsn target) {
+    const size_t overhead = ScanInsert(0, "").EncodedSize();
+    while (w->next_lsn() < target) {
+      const size_t gap = target - w->next_lsn();
+      ASSERT_GE(gap, overhead);
+      const size_t n = gap >= 1000 + 2 * overhead ? 1000 : gap - overhead;
+      Add(w, std::string(n, static_cast<char>('a' + written_.size() % 26)));
+    }
+    ASSERT_EQ(w->next_lsn(), target);
+  }
+
+  Lsn Add(wal::Wal* w, const std::string& entry) {
+    Lsn lsn = w->Append(
+        ScanInsert(static_cast<uint16_t>(written_.size()), entry));
+    written_.push_back({lsn, entry});
+    return lsn;
+  }
+
+  /// A forward scan of the reopened log returns exactly `written_`.
+  void ExpectScanMatches(wal::Wal* w) {
+    wal::Cursor cur = w->OpenCursor();
+    ASSERT_TRUE(cur.SeekTo(w->start_lsn()).ok());
+    size_t i = 0;
+    while (cur.Valid()) {
+      ASSERT_LT(i, written_.size());
+      EXPECT_EQ(cur.lsn(), written_[i].first);
+      EXPECT_EQ(cur.record().image, written_[i].second);
+      i++;
+      ASSERT_TRUE(cur.Next().ok());
+    }
+    EXPECT_EQ(i, written_.size());
+  }
+
+  void WriteAt(Lsn at, const char* bytes, size_t n) {
+    int fd = ::open(path_.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pwrite(fd, bytes, n, static_cast<off_t>(at)),
+              static_cast<ssize_t>(n));
+    ::close(fd);
+  }
+
+  std::string dir_;
+  std::string path_;
+  std::vector<std::pair<Lsn, std::string>> written_;
+};
+
+TEST_F(WalOpenScanTest, RawRecordStraddlingFirstChunk) {
+  Lsn ckpt, end;
+  {
+    auto w = wal::Wal::Create(path_, nullptr, nullptr, Opts(false));
+    ASSERT_TRUE(w.ok());
+    FillTo(w->get(), Boundary(w->get()) - 10);
+    LogRecord begin;
+    begin.type = LogType::kCheckpointBegin;
+    begin.wall_clock = 31337;
+    ckpt = (*w)->Append(begin);  // 61 bytes across the boundary
+    written_.push_back({ckpt, ""});
+    for (int i = 0; i < 20; i++) Add(w->get(), "after " + std::to_string(i));
+    ASSERT_TRUE((*w)->FlushAll().ok());
+    end = (*w)->flushed_lsn();
+  }
+  auto w = wal::Wal::Open(path_, nullptr, nullptr, Opts(false));
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_EQ((*w)->flushed_lsn(), end);
+  auto dir = (*w)->checkpoints();
+  ASSERT_EQ(dir.size(), 1u);
+  EXPECT_EQ(dir[0].begin_lsn, ckpt);
+  EXPECT_EQ(dir[0].wall_clock, 31337u);
+  ExpectScanMatches(w->get());
+}
+
+TEST_F(WalOpenScanTest, FrameStraddlingFirstChunk) {
+  Lsn boundary;
+  {
+    auto w = wal::Wal::Create(path_, nullptr, nullptr, Opts(false));
+    ASSERT_TRUE(w.ok());
+    boundary = Boundary(w->get());
+    FillTo(w->get(), boundary - 100);
+    ASSERT_TRUE((*w)->FlushAll().ok());
+  }
+  uint64_t frames_written;
+  Lsn end;
+  {
+    // Reopened with compression on: the next batch is framed from
+    // 100 bytes below the boundary, and its physical bytes cross it.
+    auto w = wal::Wal::Open(path_, nullptr, nullptr, Opts(true));
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    for (int i = 0; i < 60; i++) {
+      Add(w->get(), std::string(800, 'z') + std::to_string(i));
+    }
+    ASSERT_TRUE((*w)->FlushAll().ok());
+    end = (*w)->flushed_lsn();
+    frames_written = (*w)->stats().frames_written;
+  }
+  {
+    // The reopen scan rebuilds the frame directory: every frame, one
+    // after another from the boundary-crossing first to the log end.
+    auto lm = LogManager::Open(path_, nullptr, nullptr);
+    ASSERT_TRUE(lm.ok()) << lm.status().ToString();
+    EXPECT_EQ((*lm)->flushed_lsn(), end);
+    const std::vector<LogFrame> frames = (*lm)->frames();
+    ASSERT_EQ(frames.size(), frames_written);
+    ASSERT_FALSE(frames.empty());
+    EXPECT_EQ(frames.front().lsn, boundary - 100);
+    EXPECT_GT(frames.front().lsn + LogManager::kFrameHeaderSize +
+                  frames.front().clen,
+              boundary);
+    Lsn at = boundary - 100;
+    for (const LogFrame& f : frames) {
+      EXPECT_EQ(f.lsn, at);
+      at += f.ulen;
+    }
+    EXPECT_EQ(at, end);
+  }
+  auto w = wal::Wal::Open(path_, nullptr, nullptr, Opts(false));
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_EQ((*w)->flushed_lsn(), end);
+  ExpectScanMatches(w->get());
+}
+
+TEST_F(WalOpenScanTest, TornTailStraddlingFirstChunk) {
+  Lsn boundary, torn;
+  {
+    auto w = wal::Wal::Create(path_, nullptr, nullptr, Opts(false));
+    ASSERT_TRUE(w.ok());
+    boundary = Boundary(w->get());
+    FillTo(w->get(), boundary - 100);
+    torn = (*w)->Append(ScanInsert(0, std::string(1000, 't')));
+    ASSERT_TRUE((*w)->FlushAll().ok());
+  }
+  // The crash tore the last record 100 bytes past the boundary.
+  std::filesystem::resize_file(path_, boundary + 100);
+  auto w = wal::Wal::Open(path_, nullptr, nullptr, Opts(false));
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_EQ((*w)->flushed_lsn(), torn);
+  EXPECT_EQ((*w)->next_lsn(), torn);
+  ExpectScanMatches(w->get());
+}
+
+TEST_F(WalOpenScanTest, FutureFrameHeaderPastFirstChunkIsCorruption) {
+  // Wholly past the boundary, and straddling it.
+  for (long offset : {40L, -12L}) {
+    SCOPED_TRACE(offset);
+    std::filesystem::remove(path_);
+    written_.clear();
+    Lsn end;
+    {
+      auto w = wal::Wal::Create(path_, nullptr, nullptr, Opts(false));
+      ASSERT_TRUE(w.ok());
+      FillTo(w->get(), Boundary(w->get()) + offset);
+      ASSERT_TRUE((*w)->FlushAll().ok());
+      end = (*w)->flushed_lsn();
+    }
+    // A WELL-FORMED header of a future version: magic, version + 1, and
+    // a valid header checksum.
+    char hdr[LogManager::kFrameHeaderSize];
+    memset(hdr, 0, sizeof(hdr));
+    const uint32_t magic = LogManager::kFrameMagic;
+    memcpy(hdr, &magic, 4);
+    hdr[4] = static_cast<char>(LogManager::kFrameVersion + 1);
+    const uint32_t ulen = 4096, clen = 100, psum = 0xBEEF;
+    memcpy(hdr + 8, &ulen, 4);
+    memcpy(hdr + 12, &clen, 4);
+    memcpy(hdr + 16, &psum, 4);
+    const uint32_t hsum = Checksum32(hdr, 20);
+    memcpy(hdr + 20, &hsum, 4);
+    WriteAt(end, hdr, sizeof(hdr));
+    auto w = wal::Wal::Open(path_, nullptr, nullptr, Opts(false));
+    ASSERT_FALSE(w.ok()) << "a future frame version must not read as the end";
+    EXPECT_TRUE(w.status().IsCorruption()) << w.status().ToString();
+  }
 }
 
 }  // namespace
