@@ -37,9 +37,11 @@ Result<std::unique_ptr<Client>> Client::Connect(
   std::string hello;
   PutFixed32(&hello, net::kProtocolVersion);
   PutLengthPrefixed(&hello, Slice(client_name));
-  REWIND_ASSIGN_OR_RETURN(std::string reply,
-                          c->RoundTrip(net::Op::kHello, hello));
-  Decoder dec{Slice(reply)};
+  // Decoded in place: moving the reply out of its Result first makes
+  // GCC 12 warn that the string may be used uninitialized.
+  Result<std::string> reply = c->RoundTrip(net::Op::kHello, hello);
+  if (!reply.ok()) return reply.status();
+  Decoder dec{Slice(*reply)};
   Slice banner;
   if (!dec.GetFixed64(&c->session_id_) || !dec.GetLengthPrefixed(&banner)) {
     return Status::Corruption("malformed HELLO reply");
@@ -227,8 +229,10 @@ Result<uint64_t> Client::Count(const std::string& table, uint64_t view) {
 
 Result<Client::ViewInfo> Client::ViewCall(net::Op op,
                                           const std::string& payload) {
-  REWIND_ASSIGN_OR_RETURN(std::string reply, RoundTrip(op, payload));
-  Decoder dec{Slice(reply)};
+  // Decoded in place, as in Connect.
+  Result<std::string> reply = RoundTrip(op, payload);
+  if (!reply.ok()) return reply.status();
+  Decoder dec{Slice(*reply)};
   ViewInfo v;
   if (!dec.GetFixed64(&v.handle) || !dec.GetFixed64(&v.as_of)) {
     return Status::Corruption("malformed view reply");

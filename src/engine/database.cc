@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <unordered_map>
 
 #include "engine/redo_undo.h"
@@ -616,12 +617,33 @@ std::string Database::ResolveArchiveDir() const {
   return opts_.archive_dir;
 }
 
-Status Database::Checkpoint() { return CheckpointImpl(/*fuzzy=*/false); }
-
-Status Database::FuzzyCheckpoint() { return CheckpointImpl(/*fuzzy=*/true); }
-
-Status Database::CheckpointImpl(bool fuzzy) {
+Status Database::Checkpoint() {
   std::lock_guard<std::mutex> g(checkpoint_serial_mu_);
+  // Sharp: every dirty page, so crash redo starts no earlier than the
+  // checkpoint and the data file holds every change before it.
+  return CheckpointImpl(std::numeric_limits<Lsn>::max());
+}
+
+Status Database::CreationCheckpoint(Lsn split_lsn) {
+  std::lock_guard<std::mutex> g(checkpoint_serial_mu_);
+  // Section 5.1: every dirty page holding a change at or below the
+  // split. A page first dirtied after it already has all of those in
+  // its file image.
+  return CheckpointImpl(split_lsn + 1);
+}
+
+Status Database::FuzzyCheckpoint() {
+  std::lock_guard<std::mutex> g(checkpoint_serial_mu_);
+  // Two-checkpoint rule: only pages dirty since BEFORE the previous
+  // checkpoint are written back, so the redo floor advances one
+  // checkpoint interval per checkpoint while writers never drain.
+  REWIND_RETURN_IF_ERROR(CheckpointImpl(master_checkpoint_lsn_.load()));
+  // Bounded-log steady state: everything below the new truncation
+  // floor moves to the archive tier (no-op when the tier is off).
+  return TrimActiveWal();
+}
+
+Status Database::CheckpointImpl(Lsn flush_below) {
   LogRecord begin;
   begin.type = LogType::kCheckpointBegin;
   begin.wall_clock = clock_->NowMicros();
@@ -631,25 +653,19 @@ Status Database::CheckpointImpl(bool fuzzy) {
   end.type = LogType::kCheckpointEnd;
   end.wall_clock = begin.wall_clock;
   end.att = txns_->ActiveTransactions();
-  if (fuzzy) {
-    // Two-checkpoint rule: only pages dirty since BEFORE the previous
-    // checkpoint are written back, so the redo floor advances one
-    // checkpoint interval per checkpoint while writers never drain.
-    // (Commits, evictions and page latching proceed concurrently; the
-    // DPT captured below is whatever remains dirty.)
-    const Lsn prev_begin = master_checkpoint_lsn_.load();
-    if (prev_begin != kInvalidLsn) {
-      for (const DptEntry& e : buffers_->DirtyPageTable()) {
-        if (e.rec_lsn < prev_begin) {
-          REWIND_RETURN_IF_ERROR(buffers_->FlushPage(e.page_id));
-        }
-      }
-    }
-  } else {
-    // Sharp: flush every dirty page. Snapshot recovery's redo pass then
-    // needs no page reads (section 5.2), and crash redo starts no
-    // earlier than the checkpoint.
-    REWIND_RETURN_IF_ERROR(buffers_->FlushAll());
+  // Write back the dirty pages first dirtied below the bound, in page-id
+  // order. Commits, evictions and page latching proceed concurrently;
+  // the DPT captured below is whatever remains dirty, so crash redo
+  // starts at its smallest rec_lsn.
+  std::vector<DptEntry> flush = buffers_->DirtyPageTable();
+  std::erase_if(flush,
+                [&](const DptEntry& e) { return e.rec_lsn >= flush_below; });
+  std::sort(flush.begin(), flush.end(),
+            [](const DptEntry& a, const DptEntry& b) {
+              return a.page_id < b.page_id;
+            });
+  for (const DptEntry& e : flush) {
+    REWIND_RETURN_IF_ERROR(buffers_->FlushPage(e.page_id));
   }
   end.dpt = buffers_->DirtyPageTable();
   wal_->Append(end);
@@ -662,13 +678,7 @@ Status Database::CheckpointImpl(bool fuzzy) {
   master_checkpoint_lsn_ = begin_lsn;
   checkpoint_redo_floor_ = redo_floor;
   checkpoint_wal_mark_ = wal_->next_lsn();
-  REWIND_RETURN_IF_ERROR(WriteSuperBlock());
-  if (fuzzy) {
-    // Bounded-log steady state: everything below the new truncation
-    // floor moves to the archive tier (no-op when the tier is off).
-    return TrimActiveWal();
-  }
-  return Status::OK();
+  return WriteSuperBlock();
 }
 
 void Database::MaybeAutoCheckpoint() {

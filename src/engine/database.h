@@ -264,24 +264,33 @@ class Database {
   Status DropIndex(Transaction* txn, const std::string& index_name);
 
   // ------------------------- maintenance -----------------------------
-  /// SHARP checkpoint: wall-clock-stamped begin/end records, full dirty
-  /// page flush, master record update. After it the data file holds
-  /// every pre-checkpoint change -- what snapshot creation (section
-  /// 5.2's "redo needs no page reads") and backup rely on. Drains the
-  /// buffer pool's dirty set, so prefer FuzzyCheckpoint() for routine
-  /// log bounding.
+  // Every checkpoint appends wall-clock-stamped begin/end records,
+  // writes back (in page-id order) the dirty pages first dirtied below
+  // its bound, lists the pages left dirty in the end record's DPT and
+  // updates the master record. The three differ only in the bound.
+
+  /// SHARP checkpoint: writes back every dirty page, so the data file
+  /// holds every pre-checkpoint change -- what backup and a clean
+  /// shutdown rely on. Drains the buffer pool's dirty set, so prefer
+  /// FuzzyCheckpoint() for routine log bounding.
   Status Checkpoint();
 
-  /// FUZZY checkpoint (taken without blocking writers): begin/end
-  /// records carrying the active-transaction table and the dirty page
-  /// table, no wholesale page flush -- only pages dirty since before
-  /// the PREVIOUS checkpoint are written back, so the redo floor keeps
-  /// advancing (the classic two-checkpoint rule) while the pool stays
-  /// warm. Crash recovery's analysis starts at the resulting master
-  /// checkpoint. With the archive tier on, also archives + trims the
-  /// active log up to the new truncation floor. Triggered by
-  /// checkpoint_interval_bytes, the SQL CHECKPOINT statement, and the
-  /// background checkpointer.
+  /// Snapshot-creation checkpoint (section 5.1), taken by an eager AS OF
+  /// mount once it knows its SplitLSN: writes back only the dirty pages
+  /// whose rec_lsn is at or below `split_lsn`. Afterwards every page's
+  /// file image holds all of its changes at or below the split -- a page
+  /// first dirtied after the split had them on file already -- which is
+  /// what the snapshot's reads of the primary file need.
+  Status CreationCheckpoint(Lsn split_lsn);
+
+  /// FUZZY checkpoint (taken without blocking writers): writes back only
+  /// the pages dirty since before the PREVIOUS checkpoint's begin record,
+  /// so the redo floor keeps advancing (the classic two-checkpoint rule)
+  /// while the pool stays warm. Crash recovery's analysis starts at the
+  /// resulting master checkpoint. The only checkpoint that trims: with
+  /// the archive tier on, it also archives + trims the active log up to
+  /// the new truncation floor. Triggered by checkpoint_interval_bytes,
+  /// the SQL CHECKPOINT statement, and the background checkpointer.
   Status FuzzyCheckpoint();
 
   /// ALTER DATABASE SET UNDO_INTERVAL.
@@ -396,10 +405,11 @@ class Database {
   /// its ABORT record. Thread-safe: logical undo re-latches trees per
   /// record.
   Status UndoLoser(TxnId id, Lsn last_lsn);
-  /// Shared body of Checkpoint()/FuzzyCheckpoint(); serialized on
-  /// checkpoint_serial_mu_ so begin/end pairs never interleave in the
+  /// The one body of every checkpoint: writes back the dirty pages
+  /// whose rec_lsn is below `flush_below`. The caller holds
+  /// checkpoint_serial_mu_, so begin/end pairs never interleave in the
   /// log.
-  Status CheckpointImpl(bool fuzzy);
+  Status CheckpointImpl(Lsn flush_below);
   /// Byte-triggered fuzzy checkpoint (called from Commit); claims an
   /// atomic flag so exactly one committer pays for it.
   void MaybeAutoCheckpoint();

@@ -90,6 +90,9 @@ class Planner {
   size_t TableOf(int slot) const;
 
   // Scans and joins.
+  /// Derive `b = literal` from `a = literal` and an inner-join `a = b`
+  /// into derived_bounds_, to a fixpoint.
+  void PropagateEqualities();
   Result<std::unique_ptr<Executor>> BuildScan(
       size_t ti, std::vector<sql::ExprPtr> conjuncts);
   Result<std::unique_ptr<Executor>> BuildJoinTree();
@@ -106,6 +109,10 @@ class Planner {
   /// (table index) that first sees both sides.
   std::vector<std::vector<sql::ExprPtr>> join_conjuncts_;
   std::vector<std::vector<sql::ExprPtr>> scan_conjuncts_;
+  /// Equalities implied across join keys, per table, in table-local
+  /// slots. They narrow the scan's key bounds only: the conjuncts that
+  /// imply them stay in the plan.
+  std::vector<std::vector<sql::ExprPtr>> derived_bounds_;
 
   // Aggregation state.
   std::vector<sql::ExprPtr> group_exprs_;
@@ -137,6 +144,7 @@ Status Planner::OpenTables() {
   }
   join_conjuncts_.resize(tables_.size());
   scan_conjuncts_.resize(tables_.size());
+  derived_bounds_.resize(tables_.size());
   return Status::OK();
 }
 
@@ -199,6 +207,63 @@ size_t Planner::TableOf(int slot) const {
   return 0;
 }
 
+void Planner::PropagateEqualities() {
+  // Literal each column is bound to by a `col = literal` conjunct.
+  std::map<int, sql::ExprPtr> bound;
+  for (const std::vector<sql::ExprPtr>& list : scan_conjuncts_) {
+    for (const sql::ExprPtr& c : list) {
+      if (c->kind != sql::Expr::Kind::kBinary || c->op != sql::BinOp::kEq) {
+        continue;
+      }
+      const sql::ExprPtr* col = &c->lhs;
+      const sql::ExprPtr* lit = &c->rhs;
+      if ((*col)->kind != sql::Expr::Kind::kColumn) std::swap(col, lit);
+      if ((*col)->kind == sql::Expr::Kind::kColumn && (*col)->slot >= 0 &&
+          (*lit)->kind == sql::Expr::Kind::kLiteral &&
+          !(*lit)->literal.is_null()) {
+        bound.emplace((*col)->slot, *lit);
+      }
+    }
+  }
+  // Inner-join keys `a = b` between two tables' columns of one type:
+  // equality is transitive there, so `a = x` implies `b = x`.
+  std::vector<std::pair<int, int>> keys;
+  for (const std::vector<sql::ExprPtr>& list : join_conjuncts_) {
+    for (const sql::ExprPtr& c : list) {
+      if (c->kind != sql::Expr::Kind::kBinary || c->op != sql::BinOp::kEq ||
+          c->lhs->kind != sql::Expr::Kind::kColumn ||
+          c->rhs->kind != sql::Expr::Kind::kColumn) {
+        continue;
+      }
+      const int a = c->lhs->slot;
+      const int b = c->rhs->slot;
+      if (a >= 0 && b >= 0 && TableOf(a) != TableOf(b) &&
+          joined_types_[a] == joined_types_[b]) {
+        keys.push_back({a, b});
+      }
+    }
+  }
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [a, b] : keys) {
+      for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+        auto it = bound.find(from);
+        if (it == bound.end() || bound.count(to)) continue;
+        sql::ExprPtr lit = it->second;
+        bound.emplace(to, lit);
+        const size_t t = TableOf(to);
+        const int local = to - static_cast<int>(tables_[t].offset);
+        derived_bounds_[t].push_back(sql::MakeBinary(
+            sql::BinOp::kEq,
+            sql::MakeSlot(local,
+                          tables_[t].table->schema().columns()[local].name),
+            lit));
+        grew = true;
+      }
+    }
+  }
+}
+
 Result<std::unique_ptr<Executor>> Planner::BuildScan(
     size_t ti, std::vector<sql::ExprPtr> conjuncts) {
   ScopeTable& st = tables_[ti];
@@ -206,6 +271,7 @@ Result<std::unique_ptr<Executor>> Planner::BuildScan(
   int offset = static_cast<int>(st.offset);
   for (const sql::ExprPtr& c : conjuncts) ShiftSlots(c.get(), -offset);
   sql::ExprPtr residual = AndAll(conjuncts);
+  for (const sql::ExprPtr& d : derived_bounds_[ti]) conjuncts.push_back(d);
 
   // Equality and range conjuncts of the shape `col op literal` (either
   // side), by table-local column position.
@@ -569,6 +635,7 @@ Result<PreparedQuery> Planner::Plan() {
       join_conjuncts_[max_table].push_back(c);
     }
   }
+  PropagateEqualities();
 
   REWIND_ASSIGN_OR_RETURN(std::unique_ptr<Executor> root, BuildJoinTree());
 

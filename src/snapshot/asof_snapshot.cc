@@ -229,16 +229,6 @@ Result<std::unique_ptr<AsOfSnapshot>> AsOfSnapshot::Create(
   Clock* clock = primary->clock();
   WallClock t0 = clock->NowMicros();
 
-  if (mode == MountMode::kEager) {
-    // Creation checkpoint (section 5.1): every page with LSN <=
-    // SplitLSN becomes durable in the primary file, so (a) snapshot
-    // reads of the primary never miss pre-split changes and (b) the
-    // redo pass needs no page IO at all. A lazy mount skips it: reads
-    // go through the primary's buffer pool instead, so the current
-    // image is always visible without forcing IO at mount time.
-    REWIND_RETURN_IF_ERROR(primary->Checkpoint());
-  }
-
   REWIND_ASSIGN_OR_RETURN(
       SplitPoint split,
       FindSplitPoint(primary->log(), as_of, clock->NowMicros()));
@@ -248,6 +238,19 @@ Result<std::unique_ptr<AsOfSnapshot>> AsOfSnapshot::Create(
   // Pin the log the mount rewinds from before anything can fail: the
   // destructor unregisters the anchor on every path.
   primary->RegisterSnapshotAnchor(split.checkpoint_lsn);
+  if (mode == MountMode::kEager) {
+    // Creation checkpoint (section 5.1), bounded by the split: every
+    // dirty page with rec_lsn <= SplitLSN is written back, so (a)
+    // snapshot reads of the primary file never miss pre-split changes
+    // and (b) the redo pass needs no page IO at all. A page first
+    // dirtied after the split stays in the pool: its file image already
+    // holds every change below its rec_lsn, and the rewind from that
+    // older image walks back over less. A lazy mount skips the
+    // checkpoint: reads go through the primary's buffer pool instead,
+    // so the current image is always visible without forcing IO at
+    // mount time.
+    REWIND_RETURN_IF_ERROR(primary->CreationCheckpoint(split.split_lsn));
+  }
   snap->stats_.split_lsn = split.split_lsn;
   snap->stats_.boundary_time = split.boundary_time;
   snap->stats_.checkpoint_lsn = split.checkpoint_lsn;
@@ -353,7 +356,8 @@ Status AsOfSnapshot::BuildTreeWork() {
   // row the loser touched, so queries cannot observe uncommitted
   // effects before the background pass erases them. That is the
   // redo-stage work of snapshot recovery: page redo needs no IO
-  // because the creation checkpoint flushed everything (section 5.2).
+  // because the creation checkpoint put every change at or below the
+  // split on file (section 5.2).
   // A lazy mount takes no locks: a tree's first query waits on
   // EnsureTreeRecovered instead.
   std::map<TreeId, TreeRecovery> work;

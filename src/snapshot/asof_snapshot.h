@@ -19,12 +19,14 @@
 //    the SplitLSN and the SplitLSN to find transactions in flight at
 //    that point. One walk of their chains buckets their page records
 //    by tree and, for an eager mount, re-acquires their row locks (redo
-//    itself needs no page reads because eager creation checkpoints the
-//    primary first). A BACKGROUND pass then undoes each tree's records
-//    in descending-LSN order on the snapshot's pages, trees fanned out
-//    across DatabaseOptions::replay_threads workers, while queries are
-//    already allowed. Both mount modes run this one pass; they differ
-//    only in when analysis runs and in how queries wait for undo.
+//    itself needs no page reads: an eager mount finds the SplitLSN
+//    first, then its creation checkpoint writes back every primary
+//    page dirtied at or before it). A BACKGROUND pass then undoes each
+//    tree's records in descending-LSN order on the snapshot's pages,
+//    trees fanned out across DatabaseOptions::replay_threads workers,
+//    while queries are already allowed. Both mount modes run this one
+//    pass; they differ only in when analysis runs and in how queries
+//    wait for undo.
 //
 //  * SnapshotTable -- read-only typed access mirroring Table, with the
 //    lock coordination that makes pre-undo-completion queries correct:
@@ -68,10 +70,11 @@ class AsOfSnapshot;
 /// How a snapshot is brought up (DatabaseOptions::lazy_mount picks the
 /// default; SET MOUNT_MODE overrides per session).
 ///
-///  * kEager -- the section 5.1/5.2 pipeline: creation checkpoint,
-///    inline analysis + loser-lock reacquisition, then the background
-///    pass undoes every tree while row locks hold queries off the
-///    losers' rows. Create cost grows with log-since-checkpoint.
+///  * kEager -- the section 5.1/5.2 pipeline: split search, a creation
+///    checkpoint that writes only the pages dirtied at or before the
+///    SplitLSN, inline analysis + loser-lock reacquisition, then the
+///    background pass undoes every tree while row locks hold queries
+///    off the losers' rows. Create cost grows with log-since-checkpoint.
 ///  * kLazy -- create records only the SplitLSN (waypoint-narrowed
 ///    search) and returns; the background pass first runs analysis and
 ///    builds the per-page log index, while queries recover exactly what
@@ -201,8 +204,8 @@ class AsOfSnapshot {
     uint64_t analysis_records = 0;
     /// The redo-stage work: the loser chain walk that builds the per-tree
     /// worklists and, under kEager, re-acquires the losers' row locks
-    /// (page redo needs no IO -- the creation checkpoint already flushed
-    /// everything).
+    /// (page redo needs no IO -- the creation checkpoint already put
+    /// every change at or below the split on file).
     uint64_t redo_micros = 0;
     /// The background pass. Written by its thread; read it only after
     /// WaitForUndo().

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "api/connection.h"
 #include "backup/backup_manager.h"
@@ -497,6 +498,330 @@ TEST_F(CheckpointTest, SqlCheckpointStatement) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(*out, "Checkpoint complete");
   EXPECT_GT((*conn)->engine()->master_checkpoint_lsn(), before);
+}
+
+// -------------------- bounded creation checkpoint ---------------------
+
+/// Options for the tests below: a log whose file offsets are its LSNs
+/// (no compression, no archive), so a crash can be cut at a record
+/// boundary by truncating the file, and no checkpoint but the test's.
+DatabaseOptions PlainLogOpts() {
+  DatabaseOptions opts;
+  opts.archive_dir = "";
+  opts.wal_compression = false;
+  opts.checkpoint_interval_bytes = 0;
+  opts.lazy_mount = false;
+  return opts;
+}
+
+/// Rows 0..9 of table `name`, all set to `val` (inserted or updated in
+/// place, so each table stays one page).
+void WriteRows(Database* db, const std::string& name, const std::string& val,
+               bool insert) {
+  auto table = db->OpenTable(name);
+  ASSERT_TRUE(table.ok());
+  Transaction* txn = db->Begin();
+  for (int i = 0; i < 10; i++) {
+    Status s = insert ? table->Insert(txn, {i, val})
+                      : table->Update(txn, {i, val});
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  ASSERT_TRUE(db->Commit(txn).ok());
+}
+
+/// Page ids whose image differs between two PageImages() results.
+std::set<PageId> ChangedPages(const std::vector<std::string>& before,
+                              const std::vector<std::string>& after) {
+  std::set<PageId> out;
+  for (size_t i = 0; i < after.size(); i++) {
+    if (i >= before.size() || before[i] != after[i]) {
+      out.insert(static_cast<PageId>(i + 1));  // page 0 is not listed
+    }
+  }
+  return out;
+}
+
+/// Three one-page tables around a split: "pre" changes only before it,
+/// "post" only after it, "both" before and after. Everything starts
+/// clean on file.
+struct SplitScenario {
+  WallClock split_time = 0;
+  std::map<std::string, PageId> page;
+  std::map<std::string, std::map<int, std::string>> at_split;
+  std::map<std::string, std::map<int, std::string>> at_end;
+};
+
+class CreationCheckpointTest : public CheckpointTest {
+ protected:
+  static constexpr const char* kTables[] = {"pre", "post", "both"};
+
+  void Build(SplitScenario* sc) {
+    CreateWithSimClock(PlainLogOpts());
+    for (const char* name : kTables) {
+      MakeKvTable(db_.get(), name);
+      WriteRows(db_.get(), name, "v0", /*insert=*/true);
+      sc->page[name] = db_->OpenTable(name)->info().root;
+    }
+    ASSERT_TRUE(db_->Checkpoint().ok());
+    ASSERT_TRUE(db_->buffers()->DirtyPageTable().empty());
+
+    clock_->Advance(kSecond);
+    WriteRows(db_.get(), "pre", "v1", false);
+    WriteRows(db_.get(), "both", "v1", false);
+    clock_->Advance(kSecond);
+    sc->split_time = clock_->NowMicros();
+    for (const char* name : kTables) {
+      sc->at_split[name] = TableContents(db_.get(), name);
+    }
+    clock_->Advance(kSecond);
+    WriteRows(db_.get(), "post", "v2", false);
+    WriteRows(db_.get(), "both", "v2", false);
+    for (const char* name : kTables) {
+      sc->at_end[name] = TableContents(db_.get(), name);
+    }
+    ASSERT_TRUE(db_->log()->FlushAll().ok());
+  }
+
+  static std::map<int, std::string> SnapRows(AsOfSnapshot* snap,
+                                              const std::string& name) {
+    auto t = snap->OpenTable(name);
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    std::map<int, std::string> out;
+    Status s = t->Scan(std::nullopt, std::nullopt, [&](const Row& row) {
+      out[row[0].AsInt32()] = row[1].AsString();
+      return true;
+    });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return out;
+  }
+
+  std::string ReadSuperBlockPage(const std::string& dir) {
+    std::ifstream f(dir + "/data.rwdb", std::ios::binary);
+    std::string page(kPageSize, '\0');
+    EXPECT_TRUE(f.read(page.data(), kPageSize).good());
+    return page;
+  }
+
+  void WriteSuperBlockPage(const std::string& dir, const std::string& page) {
+    std::fstream f(dir + "/data.rwdb",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    ASSERT_TRUE(f.write(page.data(), kPageSize).good());
+  }
+};
+
+TEST_F(CreationCheckpointTest, PageChangedOnlyAfterTheSplitStaysDirty) {
+  SplitScenario sc;
+  Build(&sc);
+  const std::vector<std::string> before = PageImages(dir_);
+  Lsn post_rec_lsn = kInvalidLsn;
+  for (const DptEntry& e : db_->buffers()->DirtyPageTable()) {
+    if (e.page_id == sc.page["post"]) post_rec_lsn = e.rec_lsn;
+  }
+  ASSERT_NE(post_rec_lsn, kInvalidLsn);
+
+  auto eager = AsOfSnapshot::Create(db_.get(), "eager", sc.split_time,
+                                    MountMode::kEager);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  const Lsn split = (*eager)->creation_stats().split_lsn;
+  EXPECT_LT(split, post_rec_lsn);
+  // The split was found first: the creation checkpoint follows it.
+  EXPECT_GT(db_->master_checkpoint_lsn(), split);
+
+  // The mount wrote no image of "post": its file image is the one from
+  // before the split, and the page is still dirty with its rec_lsn.
+  EXPECT_EQ(ChangedPages(before, PageImages(dir_)).count(sc.page["post"]),
+            0u);
+  bool still_dirty = false;
+  for (const DptEntry& e : db_->buffers()->DirtyPageTable()) {
+    if (e.page_id == sc.page["post"]) {
+      still_dirty = true;
+      EXPECT_EQ(e.rec_lsn, post_rec_lsn);
+    }
+  }
+  EXPECT_TRUE(still_dirty);
+
+  // Rewound from that older image, the eager mount still reads the rows
+  // of the split, as the lazy mount (which reads the pool) does.
+  auto lazy = AsOfSnapshot::Create(db_.get(), "lazy", sc.split_time,
+                                   MountMode::kLazy);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+  for (const char* name : kTables) {
+    EXPECT_EQ(SnapRows(eager->get(), name), sc.at_split[name]) << name;
+    EXPECT_EQ(SnapRows(lazy->get(), name), sc.at_split[name]) << name;
+    EXPECT_EQ(TableContents(db_.get(), name), sc.at_end[name]) << name;
+  }
+  EXPECT_NE(sc.at_split["post"], sc.at_end["post"]);
+}
+
+TEST_F(CreationCheckpointTest, WritesExactlyThePagesDirtiedAtOrBeforeTheSplit) {
+  SplitScenario sc;
+  Build(&sc);
+  const std::vector<std::string> before = PageImages(dir_);
+  const std::vector<DptEntry> dirty = db_->buffers()->DirtyPageTable();
+
+  auto eager = AsOfSnapshot::Create(db_.get(), "eager", sc.split_time,
+                                    MountMode::kEager);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  const Lsn split = (*eager)->creation_stats().split_lsn;
+
+  std::set<PageId> at_or_before, after;
+  for (const DptEntry& e : dirty) {
+    (e.rec_lsn <= split ? at_or_before : after).insert(e.page_id);
+  }
+  // "both" was dirtied before the split and again after it: written,
+  // with its post-split change, like "pre".
+  EXPECT_EQ(at_or_before.count(sc.page["pre"]), 1u);
+  EXPECT_EQ(at_or_before.count(sc.page["both"]), 1u);
+  EXPECT_EQ(after.count(sc.page["post"]), 1u);
+  EXPECT_EQ(ChangedPages(before, PageImages(dir_)), at_or_before);
+  std::set<PageId> left;
+  for (const DptEntry& e : db_->buffers()->DirtyPageTable()) {
+    left.insert(e.page_id);
+  }
+  EXPECT_EQ(left, after);
+  for (const char* name : kTables) {
+    EXPECT_EQ(SnapRows(eager->get(), name), sc.at_split[name]) << name;
+  }
+}
+
+TEST_F(CreationCheckpointTest, EndOfHistoryMountSplitsBeforeItsCheckpoint) {
+  SplitScenario sc;
+  Build(&sc);
+  // An uncommitted change after the last commit, on a page that commit
+  // left dirty: the checkpoint writes the page with it.
+  auto post = db_->OpenTable("post");
+  ASSERT_TRUE(post.ok());
+  Transaction* open_txn = db_->Begin();
+  ASSERT_TRUE(post->Update(open_txn, {3, std::string("v9")}).ok());
+  clock_->Advance(kSecond);
+
+  const WallClock now = clock_->NowMicros();
+  auto eager = AsOfSnapshot::Create(db_.get(), "eager", now,
+                                    MountMode::kEager);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  // Searched before the checkpoint was taken, the split is the last
+  // commit, not the creation checkpoint's own begin record.
+  const Lsn split = (*eager)->creation_stats().split_lsn;
+  EXPECT_LT(split, db_->master_checkpoint_lsn());
+  EXPECT_LT((*eager)->creation_stats().analysis_start_lsn, split);
+  EXPECT_TRUE(db_->buffers()->DirtyPageTable().empty());
+  for (const char* name : kTables) {
+    EXPECT_EQ(SnapRows(eager->get(), name), sc.at_end[name]) << name;
+  }
+  ASSERT_TRUE(db_->Abort(open_txn).ok());
+}
+
+TEST_F(CreationCheckpointTest, CrashAfterEagerMountRecoversThroughItsDpt) {
+  SplitScenario sc;
+  Build(&sc);
+  {
+    auto eager = AsOfSnapshot::Create(db_.get(), "eager", sc.split_time,
+                                      MountMode::kEager);
+    ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  }
+  const Lsn creation = db_->master_checkpoint_lsn();
+  db_->SimulateCrash();
+  db_.reset();
+
+  DatabaseOptions opts = PlainLogOpts();
+  opts.clock = clock_.get();
+  auto db = Database::Open(dir_, opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_TRUE((*db)->recovered_from_crash());
+  // Analysis starts at the creation checkpoint, whose end record lists
+  // "post" as dirty: redo reaches back to its change from there.
+  EXPECT_EQ((*db)->recovery_stats().analysis_start_lsn, creation);
+  EXPECT_GE((*db)->recovery_stats().redo_records, 10u);
+  for (const char* name : kTables) {
+    EXPECT_EQ(TableContents(db->get(), name), sc.at_end[name]) << name;
+  }
+}
+
+TEST_F(CreationCheckpointTest, CrashCutsAroundTheCheckpointRecover) {
+  SplitScenario sc;
+  Build(&sc);
+  const std::string old_super = ReadSuperBlockPage(dir_);
+  const Lsn old_master = db_->master_checkpoint_lsn();
+  {
+    auto eager = AsOfSnapshot::Create(db_.get(), "eager", sc.split_time,
+                                      MountMode::kEager);
+    ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  }
+  const Lsn begin = db_->master_checkpoint_lsn();
+  wal::Cursor cur = db_->log()->OpenCursor();
+  ASSERT_TRUE(cur.SeekTo(begin).ok());
+  ASSERT_TRUE(cur.Next().ok());
+  ASSERT_TRUE(cur.Valid());
+  ASSERT_EQ(cur.record().type, LogType::kCheckpointEnd);
+  const Lsn end = cur.lsn();
+  db_->SimulateCrash();
+  db_.reset();
+
+  // The checkpoint writes its pages, appends its end record, flushes
+  // the log and then the superblock; the begin record may reach the
+  // log before or after the pages. Each cut keeps the pages written.
+  struct Cut {
+    const char* name;
+    Lsn log_bytes;  // 0: keep the whole log
+    bool new_superblock;
+  };
+  const Cut cuts[] = {{"before_begin", begin, false},
+                      {"before_end", end, false},
+                      {"before_superblock", 0, false},
+                      {"after_superblock", 0, true}};
+  for (const Cut& cut : cuts) {
+    SCOPED_TRACE(cut.name);
+    const std::string copy = base_ + "/" + cut.name;
+    CopyDir(dir_, copy);
+    if (cut.log_bytes != 0) {
+      std::filesystem::resize_file(copy + "/log.rwdb", cut.log_bytes);
+    }
+    if (!cut.new_superblock) WriteSuperBlockPage(copy, old_super);
+
+    DatabaseOptions opts = PlainLogOpts();
+    opts.clock = clock_.get();
+    auto db = Database::Open(copy, opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_TRUE((*db)->recovered_from_crash());
+    EXPECT_EQ((*db)->recovery_stats().analysis_start_lsn,
+              cut.new_superblock ? begin : old_master);
+    for (const char* name : kTables) {
+      EXPECT_EQ(TableContents(db->get(), name), sc.at_end[name]) << name;
+    }
+  }
+}
+
+TEST_F(CreationCheckpointTest, SharpAndFuzzyCheckpointsKeepTheirFlushSets) {
+  SplitScenario sc;
+  Build(&sc);
+  // A fuzzy checkpoint writes exactly the pages dirty since before the
+  // previous checkpoint's begin record.
+  auto fuzzy_writes_older_pages = [&]() {
+    std::set<PageId> older;
+    for (const DptEntry& e : db_->buffers()->DirtyPageTable()) {
+      if (e.rec_lsn < db_->master_checkpoint_lsn()) older.insert(e.page_id);
+    }
+    const std::vector<std::string> before = PageImages(dir_);
+    EXPECT_TRUE(db_->FuzzyCheckpoint().ok());
+    EXPECT_EQ(ChangedPages(before, PageImages(dir_)), older);
+    return older;
+  };
+  // All three were dirtied after the sharp checkpoint: none is written.
+  EXPECT_TRUE(fuzzy_writes_older_pages().empty());
+  EXPECT_EQ(db_->buffers()->DirtyPageTable().size(), 3u);
+  // Now all three are older than the previous checkpoint.
+  EXPECT_EQ(fuzzy_writes_older_pages(),
+            (std::set<PageId>{sc.page["pre"], sc.page["post"],
+                              sc.page["both"]}));
+  WriteRows(db_.get(), "pre", "v3", false);
+  EXPECT_TRUE(fuzzy_writes_older_pages().empty());
+  ASSERT_EQ(db_->buffers()->DirtyPageTable().size(), 1u);
+  EXPECT_EQ(db_->buffers()->DirtyPageTable()[0].page_id, sc.page["pre"]);
+
+  // A sharp checkpoint writes everything.
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  EXPECT_TRUE(db_->buffers()->DirtyPageTable().empty());
 }
 
 // ------------------------ ArchiveManager unit -------------------------

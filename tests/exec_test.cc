@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -272,6 +273,91 @@ TEST_F(ExecTest, ExplainShowsPushdownBoundsAndJoinStrategy) {
   std::string nlj = ExplainText(
       "SELECT e.id FROM emp e JOIN dept d ON e.score < d.pop");
   EXPECT_NE(nlj.find("NestedLoopJoin"), std::string::npos) << nlj;
+}
+
+TEST_F(ExecTest, JoinKeyEqualityBoundsTheOtherSide) {
+  // The STOCK-LEVEL shape: lines(w, o, i) joined to stock(w, i) on both
+  // key columns, with only the lines side bound to a warehouse.
+  ASSERT_TRUE(conn_->CreateTable("lines",
+                                 Schema({{"w", ColumnType::kInt32},
+                                         {"o", ColumnType::kInt32},
+                                         {"i", ColumnType::kInt32}},
+                                        2))
+                  .ok());
+  ASSERT_TRUE(conn_->CreateTable("stock",
+                                 Schema({{"w", ColumnType::kInt32},
+                                         {"i", ColumnType::kInt32},
+                                         {"q", ColumnType::kInt32}},
+                                        2))
+                  .ok());
+  Txn txn = conn_->Begin();
+  for (int32_t w = 1; w <= 3; w++) {
+    for (int32_t i = 0; i < 20; i++) {
+      ASSERT_TRUE(conn_->Insert(txn, "stock", {w, i, (i * 7 + w) % 25}).ok());
+    }
+    for (int32_t o = 0; o < 15; o++) {
+      ASSERT_TRUE(conn_->Insert(txn, "lines", {w, o, (o * 3) % 20}).ok());
+    }
+  }
+  ASSERT_TRUE(txn.Commit().ok());
+
+  const std::string q =
+      "SELECT COUNT(DISTINCT l.i) FROM lines l JOIN stock s ON s.w = l.w "
+      "AND s.i = l.i WHERE l.w = 2 AND l.o >= 3 AND s.q < 15";
+  std::string text = ExplainText(q);
+  EXPECT_NE(text.find("SeqScan l bounds=[(2, 3), (3))"), std::string::npos)
+      << text;
+  // s.w = 2 is derived from l.w = 2 and s.w = l.w; it bounds the scan
+  // and adds nothing to the filter, which the WHERE already implies.
+  EXPECT_NE(text.find("SeqScan s bounds=[(2), (3)) filter=(s.q < 15)"),
+            std::string::npos)
+      << text;
+
+  // The same answer as with the bound written out, and as by hand.
+  SqlResult derived = MustExecute(q);
+  SqlResult written = MustExecute(q + " AND s.w = 2");
+  ASSERT_EQ(derived.rows.size(), 1u);
+  EXPECT_EQ(Rendered(derived), Rendered(written));
+  std::set<int32_t> items;
+  for (int32_t o = 3; o < 15; o++) {
+    int32_t i = (o * 3) % 20;
+    if ((i * 7 + 2) % 25 < 15) items.insert(i);
+  }
+  EXPECT_EQ(derived.rows[0][0].AsInt64(), static_cast<int64_t>(items.size()));
+
+  // The binding also crosses from the other side of the join.
+  std::string reverse = ExplainText(
+      "SELECT COUNT(*) FROM lines l JOIN stock s ON l.w = s.w AND "
+      "l.i = s.i WHERE s.w = 3");
+  EXPECT_NE(reverse.find("SeqScan l bounds=[(3), (4))"), std::string::npos)
+      << reverse;
+}
+
+TEST_F(ExecTest, MismatchedJoinKeyTypesGetNoPropagation) {
+  LoadDataset();
+  // emp.bonus is INT32, tier.level INT64: an equality across them is
+  // not propagated, so the tier scan stays unbounded.
+  ASSERT_TRUE(conn_->CreateTable("tier",
+                                 Schema({{"level", ColumnType::kInt64},
+                                         {"name", ColumnType::kString}},
+                                        1))
+                  .ok());
+  Txn txn = conn_->Begin();
+  for (int64_t l = 0; l < 3; l++) {
+    ASSERT_TRUE(
+        conn_->Insert(txn, "tier", {l, "tier" + std::to_string(l)}).ok());
+  }
+  ASSERT_TRUE(txn.Commit().ok());
+
+  const std::string q =
+      "SELECT e.id, t.name FROM emp e JOIN tier t ON e.bonus = t.level "
+      "WHERE e.bonus = 1 ORDER BY e.id";
+  std::string text = ExplainText(q);
+  EXPECT_NE(text.find("SeqScan t\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("SeqScan t bounds"), std::string::npos) << text;
+  SqlResult r = MustExecute(q);
+  EXPECT_EQ(r.rows.size(), 20u);  // ids 1..60 with id % 3 == 1
+  for (const Row& row : r.rows) EXPECT_EQ(row[1].AsString(), "tier1");
 }
 
 TEST_F(ExecTest, DroppingTheIndexFallsBackToSeqScan) {
