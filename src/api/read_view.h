@@ -77,8 +77,10 @@ class ReadView {
   virtual WallClock as_of() const { return 0; }
 
   /// Snapshot views: block until the background undo of in-flight
-  /// transactions finishes (queries are correct before that, just
-  /// gated). Live views: no-op.
+  /// transactions finishes, and report its failure. Queries are correct
+  /// before that: a query of a tree the pass has not undone yet waits
+  /// for that tree's undo or runs it, and a tree whose undo failed is
+  /// retried, never read as is. Live views: no-op.
   virtual Status WaitReady() { return Status::OK(); }
 };
 

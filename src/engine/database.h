@@ -144,10 +144,10 @@ struct DatabaseOptions {
   /// entered through the mount's page log index). Mount cost becomes
   /// O(1) in log-since-backup; first-query latency becomes O(working
   /// set). The eager path (default) stays the oracle: both produce the
-  /// same rows, and byte-identical page images unless undo splits pages
-  /// of several trees (tests/lazy_mount_test.cc). Overridable
-  /// per session with SET MOUNT_MODE. The default honours the
-  /// REWINDDB_LAZY_MOUNT environment variable.
+  /// same rows and byte-identical page images
+  /// (tests/lazy_mount_test.cc). Overridable per session with SET
+  /// MOUNT_MODE. The default honours the REWINDDB_LAZY_MOUNT
+  /// environment variable.
   bool lazy_mount = DefaultLazyMount();
 };
 
@@ -163,8 +163,9 @@ struct LazyMountCounters {
   /// On-demand recoveries that entered the chain at an indexed
   /// post-split page image instead of walking from the current page.
   uint64_t fpi_index_hits = 0;
-  /// Trees whose loser undo was applied on first query touch (the
-  /// remainder were completed by the sweeper).
+  /// Trees whose loser undo was applied on first query touch, under
+  /// either mount mode (the remainder were completed by the background
+  /// pass).
   uint64_t trees_recovered_on_demand = 0;
   /// Background sweeps that ran to completion.
   uint64_t sweeps_completed = 0;

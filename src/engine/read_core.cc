@@ -126,17 +126,7 @@ Status ReadCoreIndexScan(RowGate* gate, const TableInfo& info,
   return Status::OK();
 }
 
-Result<uint64_t> ReadCoreCount(RowGate* gate, const TableInfo& info,
-                               const std::vector<ColumnType>& types) {
-  if (gate->CountNeedsVisibilityScan()) {
-    uint64_t n = 0;
-    REWIND_RETURN_IF_ERROR(ReadCoreScan(gate, info, types, std::nullopt,
-                                        std::nullopt, [&](const Row&) {
-                                          n++;
-                                          return true;
-                                        }));
-    return n;
-  }
+Result<uint64_t> ReadCoreCount(RowGate* gate, const TableInfo& info) {
   BTree tree(info.root);
   std::shared_lock<std::shared_mutex> tl(*gate->TreeLatch(info.root));
   return tree.Count(gate->buffers());

@@ -1,13 +1,15 @@
 // Shared read-path plumbing behind every table surface.
 //
-// The live Table and the snapshot's as-of table used to carry two
-// near-identical copies of the Get/Scan/IndexScan/Count loops, differing
-// only in how a row's visibility is decided: live transactional reads
-// S-lock rows (try-lock + yield during scans, so a scan never waits on a
-// lock while holding a latch), while as-of reads wait for the snapshot's
-// background undo to erase in-flight transactions' effects. This file
-// implements those loops once, parameterized by a RowGate that supplies
-// the buffer pool, the per-tree latches and the visibility decisions.
+// The live Table and the snapshot's as-of table run the same
+// Get/Scan/IndexScan/Count loops, differing only in where pages come
+// from and in how a row's visibility is decided: live transactional
+// reads S-lock rows (try-lock + yield during scans, so a scan never
+// waits on a lock while holding a latch), while an as-of table waits
+// for (or runs) each tree's loser undo before it reads the tree
+// (AsOfSnapshot::EnsureTreeRecovered), after which every row it can
+// reach is visible. This file implements those loops once,
+// parameterized by a RowGate that supplies the buffer pool, the
+// per-tree latches and the row visibility decisions.
 #ifndef REWINDDB_ENGINE_READ_CORE_H_
 #define REWINDDB_ENGINE_READ_CORE_H_
 
@@ -27,6 +29,8 @@ class BufferManager;
 
 /// Visibility and locking hooks distinguishing one read surface from
 /// another. Implementations must be callable from multiple threads.
+/// The row hooks default to "every row is visible"; only live
+/// transactional reads override them.
 class RowGate {
  public:
   enum class Check { kVisible, kYield };
@@ -40,32 +44,29 @@ class RowGate {
   /// Reader/writer latch for `tree`.
   virtual std::shared_mutex* TreeLatch(TreeId tree) = 0;
 
-  /// Called before a point read of primary key `pk`: S-lock it (live
-  /// transactional read), wait until background undo made it visible
-  /// (snapshot), or do nothing (untracked live read).
-  virtual Status BeforePointRead(TreeId tree, const std::string& pk) = 0;
+  /// Called before a point read of primary key `pk`, e.g. to S-lock it.
+  virtual Status BeforePointRead(TreeId /*tree*/, const std::string& /*pk*/) {
+    return Status::OK();
+  }
 
   /// Cheap per-row pre-test: false means every row is visible and
   /// CheckScanRow will not be called, sparing the scan the key
-  /// materialization (untracked live reads; snapshots once background
-  /// undo completed). May flip true->false mid-scan, never the other
-  /// way.
-  virtual bool ScanNeedsRowCheck() = 0;
+  /// materialization.
+  virtual bool ScanNeedsRowCheck() { return false; }
 
   /// Called under the tree latch for each row a scan is about to
   /// deliver (only while ScanNeedsRowCheck() is true). kYield means:
   /// release every latch, AwaitRow(key), then resume the scan at `key`
   /// (inclusive -- the row has not been delivered yet).
-  virtual Result<Check> CheckScanRow(TreeId tree, const std::string& key) = 0;
+  virtual Result<Check> CheckScanRow(TreeId /*tree*/,
+                                     const std::string& /*key*/) {
+    return Check::kVisible;
+  }
 
   /// Latch-free wait after a yield; returns once `key` may be re-read.
-  virtual Status AwaitRow(TreeId tree, const std::string& key) = 0;
-
-  /// True while rows may exist in the tree that this surface must not
-  /// count (snapshot background undo still running); forces Count() to
-  /// take the visibility-checked scan path instead of the raw tree
-  /// count.
-  virtual bool CountNeedsVisibilityScan() = 0;
+  virtual Status AwaitRow(TreeId /*tree*/, const std::string& /*key*/) {
+    return Status::OK();
+  }
 };
 
 /// The four read operations every table surface exposes, implemented
@@ -87,8 +88,7 @@ Status ReadCoreIndexScan(RowGate* gate, const TableInfo& info,
                          const Row& prefix_values,
                          const std::function<bool(const Row&)>& cb);
 
-Result<uint64_t> ReadCoreCount(RowGate* gate, const TableInfo& info,
-                               const std::vector<ColumnType>& types);
+Result<uint64_t> ReadCoreCount(RowGate* gate, const TableInfo& info);
 
 }  // namespace rewinddb
 

@@ -26,8 +26,8 @@ class LiveRowGate : public RowGate {
                                  LockMode::kShared);
   }
   bool ScanNeedsRowCheck() override { return txn_ != nullptr; }
+  // The scan hooks below run only while ScanNeedsRowCheck() is true.
   Result<Check> CheckScanRow(TreeId tree, const std::string& key) override {
-    if (txn_ == nullptr) return Check::kVisible;
     Status s = db_->locks()->TryAcquire(txn_->id, RowLockKey(tree, key),
                                         LockMode::kShared);
     if (s.IsBusy()) return Check::kYield;
@@ -35,11 +35,9 @@ class LiveRowGate : public RowGate {
     return Check::kVisible;
   }
   Status AwaitRow(TreeId tree, const std::string& key) override {
-    if (txn_ == nullptr) return Status::OK();
     return db_->locks()->Acquire(txn_->id, RowLockKey(tree, key),
                                  LockMode::kShared);
   }
-  bool CountNeedsVisibilityScan() override { return false; }
 
  private:
   Database* db_;
@@ -181,7 +179,7 @@ Status Table::IndexScan(Transaction* txn, const std::string& index_name,
 
 Result<uint64_t> Table::Count() {
   LiveRowGate gate(db_, nullptr);
-  return ReadCoreCount(&gate, info_, types_);
+  return ReadCoreCount(&gate, info_);
 }
 
 }  // namespace rewinddb

@@ -12,13 +12,11 @@ namespace rewinddb {
 
 namespace {
 
-/// As-of read gate: a row held by a transaction that was in flight at
-/// the SplitLSN is invisible until the background undo erases it.
-///
-/// Lazy mounts never need the per-row machinery: a tree's whole loser
-/// undo is applied by EnsureTreeRecovered BEFORE the query surface
-/// reads the tree, so every row the B-tree can deliver is already
-/// visible and the gate degenerates to latches + buffers.
+/// As-of read gate. The query surface waits for (or runs) a tree's
+/// loser undo before it reads the tree (AsOfSnapshot::
+/// EnsureTreeRecovered), so every row the B-tree can then deliver is
+/// visible: the gate supplies only the snapshot's pool and latches,
+/// and RowGate's row hooks keep their "visible" defaults.
 class SnapshotRowGate : public RowGate {
  public:
   explicit SnapshotRowGate(AsOfSnapshot* snap) : snap_(snap) {}
@@ -27,29 +25,14 @@ class SnapshotRowGate : public RowGate {
   std::shared_mutex* TreeLatch(TreeId tree) override {
     return snap_->TreeLatch(tree);
   }
-  Status BeforePointRead(TreeId tree, const std::string& pk) override {
-    if (snap_->lazy()) return Status::OK();
-    return snap_->WaitRowVisible(tree, pk);
-  }
-  bool ScanNeedsRowCheck() override {
-    return !snap_->lazy() && !snap_->undo_complete();
-  }
-  Result<Check> CheckScanRow(TreeId tree, const std::string& key) override {
-    if (!snap_->undo_complete() && snap_->RowBusy(tree, key)) {
-      return Check::kYield;
-    }
-    return Check::kVisible;
-  }
-  Status AwaitRow(TreeId tree, const std::string& key) override {
-    return snap_->WaitRowVisible(tree, key);
-  }
-  bool CountNeedsVisibilityScan() override {
-    return !snap_->lazy() && !snap_->undo_complete();
-  }
 
  private:
   AsOfSnapshot* snap_;
 };
+
+/// First id of the snapshot-private page space: pages made by unlogged
+/// splits live only in the side file, far above any primary page id.
+constexpr PageId kFirstPrivatePageId = 3'000'000'000u;
 
 }  // namespace
 
@@ -167,9 +150,8 @@ SnapshotTable::SnapshotTable(AsOfSnapshot* snap, TableInfo info,
       types_(info_.schema.types()) {}
 
 // Every read first makes sure the tree(s) it will traverse are free of
-// loser effects (a no-op under eager mounts, where per-row locks gate
-// instead). This is the lazy mount's query-side recovery trigger: the
-// FIRST touch of a tree pays its loser undo, later touches are free.
+// loser effects, in both mount modes: the FIRST touch of a tree waits
+// for its loser undo or runs it, later touches are free.
 
 Result<Row> SnapshotTable::Get(const Row& key_values) {
   REWIND_RETURN_IF_ERROR(snap_->EnsureTreeRecovered(info_.root));
@@ -202,7 +184,7 @@ Status SnapshotTable::IndexScan(const std::string& index_name,
 Result<uint64_t> SnapshotTable::Count() {
   REWIND_RETURN_IF_ERROR(snap_->EnsureTreeRecovered(info_.root));
   SnapshotRowGate gate(snap_);
-  return ReadCoreCount(&gate, info_, types_);
+  return ReadCoreCount(&gate, info_);
 }
 
 // ----------------------------- AsOfSnapshot ---------------------------
@@ -213,8 +195,7 @@ AsOfSnapshot::AsOfSnapshot(Database* primary, std::string name,
       name_(std::move(name)),
       split_(split),
       mode_(mode),
-      rewinder_(primary->log()),
-      locks_(/*timeout_micros=*/30'000'000) {}
+      rewinder_(primary->log()) {}
 
 Result<std::unique_ptr<AsOfSnapshot>> AsOfSnapshot::Create(
     Database* primary, const std::string& name, WallClock as_of) {
@@ -261,11 +242,10 @@ Result<std::unique_ptr<AsOfSnapshot>> AsOfSnapshot::Create(
     snap->page_index_ = std::make_unique<PageLogIndex>(split.split_lsn);
   }
   REWIND_RETURN_IF_ERROR(snap->SetupStorage());
-  // An eager mount runs analysis, and the loser chain walk that
-  // re-acquires the losers' row locks, before it opens (section 5.2).
-  // The whole lazy mount is the split search (above, waypoint-narrowed)
-  // + store setup: its analysis runs in the background, and queries
-  // recover what they touch meanwhile.
+  // An eager mount runs analysis and the loser chain walk before it
+  // opens (section 5.2). The whole lazy mount is the split search
+  // (above, waypoint-narrowed) + store setup: its analysis runs in the
+  // background, and queries recover what they touch meanwhile.
   if (mode == MountMode::kEager) REWIND_RETURN_IF_ERROR(snap->Analyze());
   primary->BumpLazyMount(mode == MountMode::kLazy);
   snap->stats_.create_micros = clock->NowMicros() - t0;
@@ -352,33 +332,19 @@ Status AsOfSnapshot::BuildTreeWork() {
   // One walk of every loser chain. Its page records are bucketed by
   // tree, to be undone in descending-LSN order per tree. CLRs are
   // followed through undo_next: their compensated region is already
-  // undone in the log. An eager mount also takes an X lock on every
-  // row the loser touched, so queries cannot observe uncommitted
-  // effects before the background pass erases them. That is the
-  // redo-stage work of snapshot recovery: page redo needs no IO
-  // because the creation checkpoint put every change at or below the
-  // split on file (section 5.2).
-  // A lazy mount takes no locks: a tree's first query waits on
-  // EnsureTreeRecovered instead.
+  // undone in the log. That is the redo-stage work of snapshot
+  // recovery: page redo needs no IO because the creation checkpoint
+  // put every change at or below the split on file (section 5.2).
+  // Unlike section 5.2, the walk re-acquires no row locks: a query
+  // waits at EnsureTreeRecovered for its tree's whole undo instead.
   std::map<TreeId, TreeRecovery> work;
-  size_t locks = 0;
   wal::Cursor chain = primary_->log()->OpenCursor();
-  for (const auto& [txn_id, last_lsn] : att) {
-    losers_.push_back(txn_id);
-    Lsn next = last_lsn;
+  for (const auto& loser : att) {
+    Lsn next = loser.second;
     while (next != kInvalidLsn) {
       REWIND_RETURN_IF_ERROR(chain.SeekToChain(next));
       if (!chain.Valid()) break;
       const LogRecord& rec = chain.record();
-      const LogType op = rec.type == LogType::kClr ? rec.clr_op : rec.type;
-      if (!lazy() && !rec.image.empty() &&
-          (op == LogType::kInsert || op == LogType::kDelete ||
-           op == LogType::kUpdate)) {
-        std::string key = SlottedPage::EntryKey(rec.image).ToString();
-        locks_.GrantForRecovery(txn_id, RowLockKey(rec.tree_id, key),
-                                LockMode::kExclusive);
-        locks++;
-      }
       if (rec.type == LogType::kClr) {
         next = rec.undo_next_lsn;
         continue;
@@ -388,16 +354,26 @@ Status AsOfSnapshot::BuildTreeWork() {
       next = rec.prev_lsn;
     }
   }
+  // Each tree takes its snapshot-private page ids from its own slice of
+  // the space above kFirstPrivatePageId, fixed by its position in this
+  // map. Both modes build the same map, so an unlogged split takes the
+  // same ids whichever thread recovers the tree, and in whatever order.
+  const PageId span = static_cast<PageId>(
+      (kInvalidPageId - kFirstPrivatePageId) /
+      std::max<size_t>(1, work.size()));
+  PageId first = kFirstPrivatePageId;
   for (auto& [tree, tr] : work) {
     (void)tree;
     std::sort(tr.work.begin(), tr.work.end(), std::greater<Lsn>());
+    tr.next_private_page = first;
+    first += span;
+    tr.private_page_end = first;
   }
   {
     std::lock_guard<std::mutex> sg(stats_mu_);
     stats_.analysis_micros = t_walk - t_analysis;
     stats_.redo_micros = clock->NowMicros() - t_walk;
     stats_.loser_transactions = att.size();
-    stats_.locks_reacquired = locks;
   }
   std::lock_guard<std::mutex> lk(trees_mu_);
   tree_work_ = std::move(work);
@@ -428,7 +404,7 @@ void AsOfSnapshot::BackgroundRecovery() {
     // across the replay workers: a tree's worklist is sequential, but
     // different trees share no page. The first failure stops the
     // sweep; a failed or unswept tree stays kPending (progress kept)
-    // and a lazy mount's next query of it resumes the work.
+    // and the next query of it resumes the work.
     std::vector<TreeId> trees;
     {
       std::lock_guard<std::mutex> lk(trees_mu_);
@@ -450,17 +426,12 @@ void AsOfSnapshot::BackgroundRecovery() {
     stats_.undo_micros = clock->NowMicros() - t0;
   }
   undo_status_ = s;
-  // An eager mount's row locks gate queries until the pass ends (the
-  // error path included, so queries do not hang).
-  for (TxnId id : losers_) locks_.ReleaseAll(id);
-  undo_complete_.store(true);
   if (lazy() && s.ok()) primary_->BumpSweepsCompleted();
 }
 
 // ---------------------------- per-tree undo ---------------------------
 
 Status AsOfSnapshot::EnsureTreeRecovered(TreeId tree) {
-  if (!lazy()) return Status::OK();
   return EnsureTreeRecoveredImpl(tree, /*on_demand=*/true);
 }
 
@@ -509,7 +480,7 @@ Status AsOfSnapshot::ApplyTreeWork(TreeId tree, TreeRecovery* tr) {
                         rec.type == LogType::kUpdate;
     if (row_op && !rec.is_system) {
       // User rows may have moved under committed SMOs: undo by key.
-      REWIND_RETURN_IF_ERROR(UndoUserRowUnlogged(rec));
+      REWIND_RETURN_IF_ERROR(UndoUserRowUnlogged(rec, tr));
     } else {
       std::unique_lock<std::shared_mutex> tl(*TreeLatch(rec.tree_id));
       REWIND_ASSIGN_OR_RETURN(
@@ -544,7 +515,8 @@ void AsOfSnapshot::NotePageRecovered(bool via_fpi_index) {
   primary_->BumpPagesRecoveredOnDemand(via_fpi_index);
 }
 
-Status AsOfSnapshot::UndoUserRowUnlogged(const LogRecord& rec) {
+Status AsOfSnapshot::UndoUserRowUnlogged(const LogRecord& rec,
+                                         TreeRecovery* tr) {
   Slice entry = rec.image;  // kUpdate: the OLD entry to restore
   Slice key = SlottedPage::EntryKey(entry);
   BTree tree(rec.tree_id);
@@ -597,12 +569,12 @@ Status AsOfSnapshot::UndoUserRowUnlogged(const LogRecord& rec) {
         return Status::Corruption("snapshot undo: unexpected row op");
     }
     leaf.Release();
-    REWIND_RETURN_IF_ERROR(UnloggedSplit(rec.tree_id, path));
+    REWIND_RETURN_IF_ERROR(UnloggedSplit(tr, rec.tree_id, path));
   }
   return Status::Corruption("snapshot undo did not converge");
 }
 
-Status AsOfSnapshot::UnloggedSplit(TreeId tree,
+Status AsOfSnapshot::UnloggedSplit(TreeRecovery* tr, TreeId tree,
                                    const std::vector<PageId>& path) {
   // Splits a snapshot page into a snapshot-private (virtual) sibling.
   // All changes are unlogged: the snapshot is not a database of record
@@ -620,8 +592,8 @@ Status AsOfSnapshot::UnloggedSplit(TreeId tree,
 
   if (node_id == tree) {
     // Root: redistribute into two virtual children; root page id stays.
-    PageId left_id = virtual_next_page_++;
-    PageId right_id = virtual_next_page_++;
+    REWIND_ASSIGN_OR_RETURN(PageId left_id, tr->TakePrivatePage());
+    REWIND_ASSIGN_OR_RETURN(PageId right_id, tr->TakePrivatePage());
     REWIND_ASSIGN_OR_RETURN(PageGuard left, buffers_->NewPage(left_id));
     REWIND_ASSIGN_OR_RETURN(PageGuard right, buffers_->NewPage(right_id));
     SlottedPage::Init(left.mutable_data(), left_id, nh->type, nh->level,
@@ -663,7 +635,7 @@ Status AsOfSnapshot::UnloggedSplit(TreeId tree,
     return Status::OK();
   }
 
-  PageId right_id = virtual_next_page_++;
+  REWIND_ASSIGN_OR_RETURN(PageId right_id, tr->TakePrivatePage());
   REWIND_ASSIGN_OR_RETURN(PageGuard right, buffers_->NewPage(right_id));
   SlottedPage::Init(right.mutable_data(), right_id, nh->type, nh->level,
                     tree);
@@ -723,7 +695,7 @@ Status AsOfSnapshot::UnloggedSplit(TreeId tree,
     }
     parent.Release();
     std::vector<PageId> parent_path(path.begin(), path.end() - 1);
-    REWIND_RETURN_IF_ERROR(UnloggedSplit(tree, parent_path));
+    REWIND_RETURN_IF_ERROR(UnloggedSplit(tr, tree, parent_path));
   }
   return Status::Corruption("unlogged split did not converge");
 }
@@ -739,21 +711,6 @@ std::shared_mutex* AsOfSnapshot::TreeLatch(TreeId tree) {
   auto& slot = tree_latches_[tree];
   if (slot == nullptr) slot = std::make_unique<std::shared_mutex>();
   return slot.get();
-}
-
-bool AsOfSnapshot::RowBusy(TreeId tree, const std::string& key) {
-  return locks_.IsHeldExclusive(RowLockKey(tree, key));
-}
-
-Status AsOfSnapshot::WaitRowVisible(TreeId tree, const std::string& key) {
-  if (undo_complete_.load()) return Status::OK();
-  TxnId qid = query_ids_++;
-  Status s = locks_.Acquire(qid, RowLockKey(tree, key), LockMode::kShared);
-  locks_.ReleaseAll(qid);
-  if (s.IsAborted()) {
-    return Status::Busy("snapshot background undo is still running");
-  }
-  return s;
 }
 
 Result<SnapshotTable> AsOfSnapshot::OpenTable(const std::string& name) {

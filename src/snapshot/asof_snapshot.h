@@ -18,20 +18,20 @@
 //    with crash restart) scans the log between the checkpoint preceding
 //    the SplitLSN and the SplitLSN to find transactions in flight at
 //    that point. One walk of their chains buckets their page records
-//    by tree and, for an eager mount, re-acquires their row locks (redo
-//    itself needs no page reads: an eager mount finds the SplitLSN
-//    first, then its creation checkpoint writes back every primary
-//    page dirtied at or before it). A BACKGROUND pass then undoes each
-//    tree's records in descending-LSN order on the snapshot's pages,
-//    trees fanned out across DatabaseOptions::replay_threads workers,
-//    while queries are already allowed. Both mount modes run this one
-//    pass; they differ only in when analysis runs and in how queries
-//    wait for undo.
+//    by tree (redo itself needs no page reads: an eager mount finds the
+//    SplitLSN first, then its creation checkpoint writes back every
+//    primary page dirtied at or before it). A BACKGROUND pass then
+//    undoes each tree's records in descending-LSN order on the
+//    snapshot's pages, trees fanned out across
+//    DatabaseOptions::replay_threads workers, while queries are already
+//    allowed. Both mount modes run this one pass and gate queries the
+//    same way; they differ only in when analysis runs and in where a
+//    page comes from.
 //
-//  * SnapshotTable -- read-only typed access mirroring Table, with the
-//    lock coordination that makes pre-undo-completion queries correct:
-//    a row held by an in-flight transaction blocks readers until the
-//    background undo has erased it.
+//  * SnapshotTable -- read-only typed access mirroring Table. Before it
+//    reads a tree it waits for that tree's loser undo, or claims and
+//    runs it (EnsureTreeRecovered), so no query sees a row of a
+//    transaction in flight at the SplitLSN.
 //
 // DEPRECATED as an application surface: applications should reach the
 // past through Connection::AsOf / Connection::Snapshot, which return
@@ -68,32 +68,35 @@ namespace rewinddb {
 class AsOfSnapshot;
 
 /// How a snapshot is brought up (DatabaseOptions::lazy_mount picks the
-/// default; SET MOUNT_MODE overrides per session).
+/// default; SET MOUNT_MODE overrides per session). The modes differ in
+/// where analysis runs and where a page comes from:
 ///
 ///  * kEager -- the section 5.1/5.2 pipeline: split search, a creation
 ///    checkpoint that writes only the pages dirtied at or before the
-///    SplitLSN, inline analysis + loser-lock reacquisition, then the
-///    background pass undoes every tree while row locks hold queries
-///    off the losers' rows. Create cost grows with log-since-checkpoint.
+///    SplitLSN, inline analysis, then the background pass undoes every
+///    tree. Pages are rewound from the primary FILE. Create cost grows
+///    with log-since-checkpoint.
 ///  * kLazy -- create records only the SplitLSN (waypoint-narrowed
 ///    search) and returns; the background pass first runs analysis and
-///    builds the per-page log index, while queries recover exactly what
-///    they touch: each page is rewound on first access and each TREE's
-///    loser records are undone before its first query (by key, below
-///    -- per-page loser undo would be unsound because committed
-///    structure modifications move in-flight rows between pages).
-/// Both modes undo a tree's records in the same order, so they produce
-/// the same rows at any replay_threads, and byte-identical pages unless
-/// undo splits pages of two or more trees: the snapshot-private page ids
-/// those unlogged splits take come from one counter, in the order the
-/// trees happen to be recovered, and parents and sibling links store
-/// them.
+///    builds the per-page log index. Pages are rewound from the
+///    primary's pool, or from an indexed page image.
+///
+/// Queries wait at one per-tree gate in both modes: each TREE's loser
+/// records are undone before its first query reads it (by key, below
+/// -- per-page loser undo would be unsound because committed structure
+/// modifications move in-flight rows between pages), by that query or
+/// by the background pass, whichever claims the tree first. Both modes
+/// undo a tree's records in the same order, and a tree's unlogged
+/// splits take page ids from that tree's own range, so the modes
+/// produce the same rows and byte-identical pages at any
+/// replay_threads.
 enum class MountMode { kEager, kLazy };
 
-/// Test-only fault injection into the lazy page-recovery path. The
-/// argument is the page id (kIndexLookup / kRewindRead) or the tree id
-/// (kUndoApply). Returning !ok() makes the recovery step fail exactly
-/// as a real IO error there would.
+/// Test-only fault injection into snapshot recovery: a lazy mount's
+/// page recovery (kIndexLookup / kRewindRead, argument: the page id)
+/// and either mode's per-tree undo (kUndoApply, argument: the tree id).
+/// Returning !ok() makes the recovery step fail exactly as a real IO
+/// error there would.
 enum class RecoveryFaultPoint { kIndexLookup, kRewindRead, kUndoApply };
 using RecoveryFaultHook = std::function<Status(RecoveryFaultPoint, uint64_t)>;
 
@@ -148,7 +151,9 @@ class SnapshotStore : public PageStore {
   AsOfSnapshot* owner_;
 };
 
-/// Read-only table handle over a snapshot.
+/// Read-only table handle over a snapshot. Every read first waits for,
+/// or runs, the loser undo of each tree it reads
+/// (AsOfSnapshot::EnsureTreeRecovered).
 class SnapshotTable {
  public:
   SnapshotTable(AsOfSnapshot* snap, TableInfo info,
@@ -184,8 +189,6 @@ class AsOfSnapshot {
     Lsn checkpoint_lsn = kInvalidLsn;
     /// In-flight transactions at the SplitLSN (undone in background).
     size_t loser_transactions = 0;
-    /// Row locks re-acquired by the loser chain walk (kEager only).
-    size_t locks_reacquired = 0;
     /// Simulated+real microseconds spent creating the snapshot
     /// (checkpoint + SplitLSN search + analysis).
     uint64_t create_micros = 0;
@@ -203,9 +206,8 @@ class AsOfSnapshot {
     /// included.
     uint64_t analysis_records = 0;
     /// The redo-stage work: the loser chain walk that builds the per-tree
-    /// worklists and, under kEager, re-acquires the losers' row locks
-    /// (page redo needs no IO -- the creation checkpoint already put
-    /// every change at or below the split on file).
+    /// worklists (page redo needs no IO -- the creation checkpoint
+    /// already put every change at or below the split on file).
     uint64_t redo_micros = 0;
     /// The background pass. Written by its thread; read it only after
     /// WaitForUndo().
@@ -227,7 +229,8 @@ class AsOfSnapshot {
 
   /// CREATE DATABASE <name> AS SNAPSHOT OF <primary> AS OF <as_of>.
   /// Eager: opens for queries as soon as analysis/redo complete; the
-  /// undo of in-flight transactions proceeds in the background. Lazy:
+  /// undo of in-flight transactions proceeds in the background, and a
+  /// query of a tree not yet undone waits for it or runs it. Lazy:
   /// opens immediately after the split search; analysis, the page log
   /// index and loser undo proceed in the background, and queries
   /// recover what they touch. Mode defaults to the primary's
@@ -248,14 +251,9 @@ class AsOfSnapshot {
   /// Block until the background undo pass finishes. Safe to call from
   /// several ReadView handles concurrently.
   Status WaitForUndo();
-  bool undo_complete() const { return undo_complete_.load(); }
 
   /// Per-tree reader/writer latch (mirrors Database::TreeLatch).
   std::shared_mutex* TreeLatch(TreeId tree);
-  /// Wait until the row is free of in-flight-transaction locks (no-op
-  /// once undo completed).
-  Status WaitRowVisible(TreeId tree, const std::string& key);
-  bool RowBusy(TreeId tree, const std::string& key);
 
   /// Returns a consistent copy. Timing/loser fields filled by the
   /// background pass settle only after WaitForUndo(); reading earlier
@@ -276,9 +274,10 @@ class AsOfSnapshot {
   /// The mount's per-page chain index (lazy only; null under kEager).
   PageLogIndex* page_log_index() { return page_index_.get(); }
   /// Block until this tree's loser records are undone on the
-  /// snapshot's pages (no-op under kEager, and for trees no loser
-  /// touched). Called by the query surface before it reads a tree;
-  /// also driven tree-by-tree by the background pass. Idempotent,
+  /// snapshot's pages, claiming and running the undo if no other
+  /// thread has (no-op for trees no loser touched). Called by the query
+  /// surface before it reads a tree, in both modes; also driven
+  /// tree-by-tree by the background pass. Idempotent,
   /// safe from many threads; on failure the tree stays pending and a
   /// later call RESUMES where the failed one stopped, so an injected
   /// fault never poisons the tree.
@@ -313,12 +312,12 @@ class AsOfSnapshot {
   /// waiters. Inline in Create under kEager, first in the background
   /// pass under kLazy.
   Status Analyze();
-  /// ScanAnalysis + one walk of every loser chain: fills tree_work_
-  /// and losers_, and under kEager re-acquires the losers' row locks.
+  /// ScanAnalysis + one walk of every loser chain: fills tree_work_,
+  /// each tree with its worklist and its private page-id range.
   Status BuildTreeWork();
   /// The background pass (both modes): [kLazy: Analyze, page log index
   /// build] -> every tree's undo through ParallelFor(replay_threads)
-  /// -> side-file flush -> release the row locks.
+  /// -> side-file flush.
   void BackgroundRecovery();
   struct TreeRecovery;
   /// Apply tree-restricted loser undo in descending-LSN order,
@@ -332,9 +331,11 @@ class AsOfSnapshot {
   /// pages: locate the row by key (it may have moved under committed
   /// structure modifications before the split) and apply the inverse
   /// directly. May split snapshot leaves into snapshot-private virtual
-  /// pages when a re-inserted row no longer fits.
-  Status UndoUserRowUnlogged(const LogRecord& rec);
-  Status UnloggedSplit(TreeId tree, const std::vector<PageId>& path);
+  /// pages, with ids from tr's range, when a re-inserted row no longer
+  /// fits.
+  Status UndoUserRowUnlogged(const LogRecord& rec, TreeRecovery* tr);
+  Status UnloggedSplit(TreeRecovery* tr, TreeId tree,
+                       const std::vector<PageId>& path);
 
   Database* primary_;
   std::string name_;
@@ -351,39 +352,39 @@ class AsOfSnapshot {
   std::unique_ptr<SnapshotStore> store_;
   std::unique_ptr<BufferManager> buffers_;
   std::unique_ptr<Catalog> catalog_;
-  LockManager locks_;  // loser locks + query coordination
-
-  /// Transactions in flight at the split point. An eager mount holds
-  /// their row locks until the background pass ends.
-  std::vector<TxnId> losers_;
 
   std::thread undo_thread_;
   std::mutex undo_join_mu_;
-  std::atomic<bool> undo_complete_{false};
   Status undo_status_;
-  std::atomic<uint64_t> query_ids_{1ULL << 62};
-  /// Page ids for snapshot-private pages created by unlogged splits;
-  /// they live only in the side file, far above any primary page id.
-  std::atomic<PageId> virtual_next_page_{3'000'000'000u};
 
   std::mutex tree_latches_mu_;
   std::map<TreeId, std::unique_ptr<std::shared_mutex>> tree_latches_;
 
   // Per-tree recovery state (both modes). trees_mu_ guards the map
-  // shape and every TreeRecovery's state field; a tree's worklist and
-  // progress cursor are touched only by the thread holding its
-  // kRunning claim (publication happens-before via trees_mu_).
+  // shape and every TreeRecovery's state field; a tree's worklist,
+  // progress cursor and page-id counter are touched only by the thread
+  // holding its kRunning claim (publication happens-before via
+  // trees_mu_).
   struct TreeRecovery {
     enum class State { kPending, kRunning, kDone };
     State state = State::kPending;
     /// This tree's loser page-record LSNs, descending: the one order
     /// every mount undoes the tree in, whichever thread claims it --
-    /// what makes lazy and eager pages byte-identical (see MountMode
-    /// for the unlogged-split exception).
+    /// what makes lazy and eager pages byte-identical.
     std::vector<Lsn> work;
     /// Progress cursor: records [0, applied) are already undone, so a
     /// retry after a failure resumes instead of double-applying.
     size_t applied = 0;
+    /// The tree's snapshot-private page ids for unlogged splits:
+    /// [next_private_page, private_page_end), set by BuildTreeWork.
+    PageId next_private_page = kInvalidPageId;
+    PageId private_page_end = kInvalidPageId;
+    Result<PageId> TakePrivatePage() {
+      if (next_private_page == private_page_end) {
+        return Status::Corruption("snapshot-private page ids exhausted");
+      }
+      return next_private_page++;
+    }
   };
   std::mutex trees_mu_;
   std::condition_variable trees_cv_;

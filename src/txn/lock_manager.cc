@@ -79,19 +79,6 @@ Status LockManager::TryAcquire(TxnId txn, const std::string& key,
   return AcquireInternal(txn, key, mode, /*blocking=*/false);
 }
 
-void LockManager::GrantForRecovery(TxnId txn, const std::string& key,
-                                   LockMode mode) {
-  std::lock_guard<std::mutex> g(mu_);
-  LockState& st = locks_[key];
-  auto it = st.holders.find(txn);
-  if (it == st.holders.end()) {
-    st.holders[txn] = mode;
-    held_[txn].push_back(key);
-  } else if (mode == LockMode::kExclusive) {
-    it->second = LockMode::kExclusive;
-  }
-}
-
 void LockManager::ReleaseAll(TxnId txn) {
   std::lock_guard<std::mutex> g(mu_);
   auto it = held_.find(txn);
@@ -121,16 +108,6 @@ bool LockManager::Holds(TxnId txn, const std::string& key,
   auto it = lk->second.holders.find(txn);
   if (it == lk->second.holders.end()) return false;
   return mode == LockMode::kShared || it->second == LockMode::kExclusive;
-}
-
-bool LockManager::IsHeldExclusive(const std::string& key) const {
-  std::lock_guard<std::mutex> g(mu_);
-  auto lk = locks_.find(key);
-  if (lk == locks_.end()) return false;
-  for (const auto& [holder, mode] : lk->second.holders) {
-    if (mode == LockMode::kExclusive) return true;
-  }
-  return false;
 }
 
 }  // namespace rewinddb

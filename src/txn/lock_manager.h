@@ -2,11 +2,11 @@
 //
 // Lock keys are opaque strings built by the engine (tree id ++ encoded
 // row key). Shared/exclusive modes, FIFO-ish wakeups, timeout-based
-// deadlock resolution (the waiter aborts). Snapshot recovery uses
-// GrantForRecovery to re-acquire the locks held by transactions that
-// were in flight as of the SplitLSN (paper section 5.2) so that as-of
-// queries cannot observe their uncommitted effects before the
-// background undo pass has erased them.
+// deadlock resolution (the waiter aborts). Only the live database
+// locks rows: an as-of snapshot keeps queries off the uncommitted rows
+// of transactions in flight at its SplitLSN by undoing a tree's loser
+// records before any query reads that tree
+// (AsOfSnapshot::EnsureTreeRecovered), so it needs no lock manager.
 #ifndef REWINDDB_TXN_LOCK_MANAGER_H_
 #define REWINDDB_TXN_LOCK_MANAGER_H_
 
@@ -49,11 +49,6 @@ class LockManager {
   /// Non-blocking variant; returns Busy instead of waiting.
   Status TryAcquire(TxnId txn, const std::string& key, LockMode mode);
 
-  /// Grant without conflict checking (lock re-acquisition during
-  /// snapshot/crash redo, where the requesting transactions are known
-  /// to have held the locks at the SplitLSN).
-  void GrantForRecovery(TxnId txn, const std::string& key, LockMode mode);
-
   /// Release every lock held by `txn` (commit/abort).
   void ReleaseAll(TxnId txn);
 
@@ -62,10 +57,6 @@ class LockManager {
 
   /// True if `txn` holds `key` in a mode covering `mode`.
   bool Holds(TxnId txn, const std::string& key, LockMode mode) const;
-
-  /// True if any transaction holds `key` exclusively (cheap probe used
-  /// by snapshot scans to decide whether to yield).
-  bool IsHeldExclusive(const std::string& key) const;
 
  private:
   struct LockState {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "api/connection.h"
 #include "engine/database.h"
 #include "engine/table.h"
+#include "page/page.h"
 #include "snapshot/asof_snapshot.h"
 #include "sql/session.h"
 
@@ -193,11 +195,7 @@ TEST_P(LazyMountTest, ByteIdenticalPagesWithLoserStraddlingSplit) {
   PutRows(&*table, 0, 200, "committed");
   clock_->Advance(kSecond);
 
-  // Loser: in flight at the split. Inserts and shrinking updates only,
-  // so its undo never needs an unlogged leaf split (whose
-  // snapshot-private page ids would be allocation-order-dependent and
-  // break the byte comparison; scan-level equality under delete-heavy
-  // losers is covered by LoserDeletesInvisibleInBothModes).
+  // Loser: in flight at the split, with updates and phantom inserts.
   Transaction* loser = db_->Begin();
   for (int i = 0; i < 40; i++) {
     ASSERT_TRUE(table->Update(loser, {i, std::string("LOSER-VALUE")}).ok());
@@ -239,8 +237,7 @@ TEST_P(LazyMountTest, ByteIdenticalPagesWithSixLosersOnInterleavedKeys) {
 
   // Six losers in flight at the split, updating the keys round-robin:
   // every leaf holds rows of all six, and their records interleave in
-  // the log. Shrinking updates only, so undo never needs an unlogged
-  // leaf split.
+  // the log.
   std::vector<Transaction*> losers;
   for (int l = 0; l < 6; l++) losers.push_back(db_->Begin());
   for (int i = 0; i < 240; i++) {
@@ -282,8 +279,8 @@ TEST_P(LazyMountTest, LoserDeletesInvisibleInBothModes) {
   PutRows(&*table, 0, 150, "keep");
   clock_->Advance(kSecond);
 
-  // Delete-heavy loser: its undo re-inserts rows (may split snapshot
-  // leaves into private virtual pages), so assert scan-level equality.
+  // Delete-heavy loser: its undo re-inserts rows, and may split
+  // snapshot leaves into private pages.
   Transaction* loser = db_->Begin();
   for (int i = 0; i < 150; i += 2) {
     ASSERT_TRUE(table->Delete(loser, Row{i}).ok());
@@ -305,6 +302,87 @@ TEST_P(LazyMountTest, LoserDeletesInvisibleInBothModes) {
   EXPECT_EQ(ce, Contents(&*sl));
   EXPECT_EQ(ce.size(), 151u);
   EXPECT_EQ(ce[0], "keep");  // the loser's delete was undone
+  ExpectByteIdenticalPages(eager.get(), lazy.get());
+
+  ASSERT_TRUE(db_->Abort(loser).ok());
+}
+
+TEST_P(LazyMountTest, ByteIdenticalPagesWhenUndoSplitsTwoTrees) {
+  MakeKvTable("a");
+  MakeKvTable("b");
+  auto ta = db_->OpenTable("a");
+  auto tb = db_->OpenTable("b");
+  const std::string long_value(300, 'L');
+  clock_->Advance(10 * kSecond);
+  for (Table* table : {&*ta, &*tb}) {
+    Transaction* txn = db_->Begin();
+    for (int i = 0; i < 400; i += 2) {
+      ASSERT_TRUE(table->Insert(txn, {i, long_value}).ok()) << i;
+    }
+    ASSERT_TRUE(db_->Commit(txn).ok());
+  }
+  clock_->Advance(kSecond);
+
+  // The loser shrinks every row of both trees; a committed transaction
+  // then refills the freed leaf space with interleaved keys. Restoring
+  // the long values no longer fits, so undo splits about every leaf of
+  // both trees into snapshot-private pages.
+  Transaction* loser = db_->Begin();
+  for (Table* table : {&*ta, &*tb}) {
+    for (int i = 0; i < 400; i += 2) {
+      ASSERT_TRUE(table->Update(loser, {i, std::string("s")}).ok()) << i;
+    }
+  }
+  Transaction* refill = db_->Begin();
+  for (Table* table : {&*ta, &*tb}) {
+    for (int i = 1; i < 400; i += 2) {
+      ASSERT_TRUE(table->Insert(refill, {i, std::string(500, 'c')}).ok())
+          << i;
+    }
+  }
+  ASSERT_TRUE(db_->Commit(refill).ok());
+  clock_->Advance(kSecond);
+  WallClock t = clock_->NowMicros();
+  clock_->Advance(kSecond);
+
+  std::unique_ptr<AsOfSnapshot> eager, lazy;
+  MountBoth(t, &eager, &lazy);
+  // The lazy mount's query reads b first while its sweeper starts with
+  // a, and the eager pass undoes both at once at 8 workers: the mounts
+  // recover the two trees in different orders.
+  auto lb = lazy->OpenTable("b");
+  ASSERT_TRUE(lb.ok()) << lb.status().ToString();
+  EXPECT_EQ(Contents(&*lb).size(), 400u);
+  ASSERT_TRUE(eager->WaitForUndo().ok());
+  ASSERT_TRUE(lazy->WaitForUndo().ok());
+
+  ExpectByteIdenticalPages(eager.get(), lazy.get());
+  for (AsOfSnapshot* snap : {eager.get(), lazy.get()}) {
+    for (const char* name : {"a", "b"}) {
+      auto st = snap->OpenTable(name);
+      ASSERT_TRUE(st.ok()) << st.status().ToString();
+      auto contents = Contents(&*st);
+      EXPECT_EQ(contents.size(), 400u) << name;
+      EXPECT_EQ(std::count_if(contents.begin(), contents.end(),
+                              [&](const auto& kv) {
+                                return kv.second == long_value;
+                              }),
+                200)
+          << name;
+    }
+  }
+  // The undo really split both trees: in each, some leaf links to a
+  // snapshot-private page.
+  std::set<TreeId> split_trees;
+  for (PageId id = 0; id < db_->data_file()->NumPages(); id++) {
+    auto page = lazy->buffers()->FetchPage(id, AccessMode::kRead);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    const PageId sibling = Header(page->data())->right_sibling;
+    if (sibling != kInvalidPageId && sibling >= 3'000'000'000u) {
+      split_trees.insert(Header(page->data())->tree_id);
+    }
+  }
+  EXPECT_EQ(split_trees.size(), 2u);
 
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
@@ -327,37 +405,41 @@ TEST_P(LazyMountTest, ConcurrentFirstTouchOfOneTree) {
   WallClock t = clock_->NowMicros();
   clock_->Advance(kSecond);
 
-  auto snap = AsOfSnapshot::Create(db_.get(), "race", t, MountMode::kLazy);
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  for (MountMode mode : {MountMode::kEager, MountMode::kLazy}) {
+    const bool eager = mode == MountMode::kEager;
+    auto snap = AsOfSnapshot::Create(db_.get(), eager ? "race-e" : "race-l",
+                                     t, mode);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
-  // Two threads race the FIRST touch of the same tree (and the same
-  // pages) while the sweeper may be working it too. Both must see the
-  // complete pre-split state.
-  std::map<int, std::string> got[2];
-  Status st[2];
-  std::vector<std::thread> threads;
-  for (int w = 0; w < 2; w++) {
-    threads.emplace_back([&, w] {
-      auto tab = (*snap)->OpenTable("t");
-      if (!tab.ok()) {
-        st[w] = tab.status();
-        return;
-      }
-      st[w] = tab->Scan(std::nullopt, std::nullopt, [&](const Row& row) {
-        got[w][row[0].AsInt32()] = row[1].AsString();
-        return true;
+    // Two threads race the FIRST touch of the same tree (and the same
+    // pages) while the background pass may be working it too. Both
+    // must see the complete pre-split state.
+    std::map<int, std::string> got[2];
+    Status st[2];
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 2; w++) {
+      threads.emplace_back([&, w] {
+        auto tab = (*snap)->OpenTable("t");
+        if (!tab.ok()) {
+          st[w] = tab.status();
+          return;
+        }
+        st[w] = tab->Scan(std::nullopt, std::nullopt, [&](const Row& row) {
+          got[w][row[0].AsInt32()] = row[1].AsString();
+          return true;
+        });
       });
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int w = 0; w < 2; w++) {
-    ASSERT_TRUE(st[w].ok()) << st[w].ToString();
-    EXPECT_EQ(got[w].size(), 401u) << "thread " << w;
-    EXPECT_EQ(got[w][25], "v1") << "thread " << w;
-  }
-  EXPECT_EQ(got[0], got[1]);
+    }
+    for (auto& th : threads) th.join();
+    for (int w = 0; w < 2; w++) {
+      ASSERT_TRUE(st[w].ok()) << st[w].ToString();
+      EXPECT_EQ(got[w].size(), 401u) << "thread " << w;
+      EXPECT_EQ(got[w][25], "v1") << "thread " << w;
+    }
+    EXPECT_EQ(got[0], got[1]);
 
-  ASSERT_TRUE((*snap)->WaitForUndo().ok());
+    ASSERT_TRUE((*snap)->WaitForUndo().ok());
+  }
   ASSERT_TRUE(db_->Abort(loser).ok());
 }
 
@@ -386,7 +468,6 @@ TEST_P(LazyMountTest, SweeperCompletesThenQueriesMatchEager) {
   // must converge without any query traffic, and queries afterwards
   // (trees already kDone) still match eager.
   ASSERT_TRUE(lazy->WaitForUndo().ok());
-  EXPECT_TRUE(lazy->undo_complete());
   EXPECT_GE(db_->lazy_mount_counters().sweeps_completed, 1u);
 
   for (const char* name : {"a", "b"}) {
@@ -508,35 +589,95 @@ TEST_F(LazyFaultTest, UndoApplyFaultLeavesTreeResumable) {
   WallClock t = clock_->NowMicros();
   clock_->Advance(kSecond);
 
-  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t, MountMode::kLazy);
+  for (MountMode mode : {MountMode::kEager, MountMode::kLazy}) {
+    const bool eager = mode == MountMode::kEager;
+    auto snap = AsOfSnapshot::Create(db_.get(),
+                                     eager ? "fault-e" : "fault-l", t, mode);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    // Installed immediately after create. A lazy mount's sweeper must
+    // first finish its analysis scan; an eager mount's pass starts
+    // undoing at once. If the pass nevertheless wins the race the query
+    // below simply succeeds -- the resume-after-clear assertions still
+    // hold.
+    (*snap)->SetRecoveryFaultHook([](RecoveryFaultPoint p, uint64_t) {
+      if (p == RecoveryFaultPoint::kUndoApply) {
+        return Status::IoError("injected undo fault");
+      }
+      return Status::OK();
+    });
+
+    auto st = (*snap)->OpenTable("t");
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    Status s = ScanStatus(&*st);
+    if (!s.ok()) {
+      EXPECT_NE(s.ToString().find("injected undo fault"), std::string::npos)
+          << s.ToString();
+      // Still failing on retry: the tree stays pending, never half-done.
+      EXPECT_FALSE(ScanStatus(&*st).ok());
+    }
+
+    // Clear the fault: the SAME tree recovers (resuming its progress
+    // cursor) and serves exactly the committed pre-split state.
+    (*snap)->SetRecoveryFaultHook(nullptr);
+    auto contents = Contents(&*st);
+    EXPECT_EQ(contents.size(), 201u);
+    for (int i = 0; i < 30; i++) EXPECT_EQ(contents[i], "good") << i;
+  }
+
+  ASSERT_TRUE(db_->Abort(loser).ok());
+}
+
+TEST_F(LazyFaultTest, EagerUndoFaultLeavesTreeResumable) {
+  MakeKvTable("marker");
+  auto marker = db_->OpenTable("marker");
+  std::vector<Table> tables;
+  for (int k = 0; k < 8; k++) {
+    MakeKvTable("t" + std::to_string(k));
+    auto table = db_->OpenTable("t" + std::to_string(k));
+    ASSERT_TRUE(table.ok());
+    tables.push_back(std::move(*table));
+  }
+  clock_->Advance(10 * kSecond);
+  for (Table& table : tables) PutRows(&table, 0, 100, "good");
+  clock_->Advance(kSecond);
+  Transaction* loser = db_->Begin();
+  for (Table& table : tables) {
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(table.Update(loser, {i, std::string("bad")}).ok());
+    }
+  }
+  clock_->Advance(kSecond);
+  PutRows(&*marker, 0, 1, "bump");
+  WallClock t = clock_->NowMicros();
+  clock_->Advance(kSecond);
+
+  // The eager mount's background pass is already undoing when the hook
+  // goes in, but eight trees outlast it: the pass fails.
+  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t, MountMode::kEager);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  // Installed immediately after create; the sweeper must first finish
-  // its analysis scan, so the hook is in place before any undo applies.
-  // If the sweeper nevertheless wins the race the query below simply
-  // succeeds -- the resume-after-clear assertions still hold.
   (*snap)->SetRecoveryFaultHook([](RecoveryFaultPoint p, uint64_t) {
     if (p == RecoveryFaultPoint::kUndoApply) {
       return Status::IoError("injected undo fault");
     }
     return Status::OK();
   });
+  Status s = (*snap)->WaitForUndo();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("injected undo fault"), std::string::npos)
+      << s.ToString();
 
-  auto st = (*snap)->OpenTable("t");
-  ASSERT_TRUE(st.ok()) << st.status().ToString();
-  Status s = ScanStatus(&*st);
-  if (!s.ok()) {
-    EXPECT_NE(s.ToString().find("injected undo fault"), std::string::npos)
-        << s.ToString();
-    // Still failing on retry: the tree stays pending, never half-done.
-    EXPECT_FALSE(ScanStatus(&*st).ok());
-  }
-
-  // Clear the fault: the SAME tree recovers (resuming its progress
-  // cursor) and serves exactly the committed pre-split state.
+  // The failed pass leaves its trees pending, not open: once the fault
+  // clears, each query finishes its tree's undo before it reads.
   (*snap)->SetRecoveryFaultHook(nullptr);
-  auto contents = Contents(&*st);
-  EXPECT_EQ(contents.size(), 201u);
-  for (int i = 0; i < 30; i++) EXPECT_EQ(contents[i], "good") << i;
+  for (int k = 0; k < 8; k++) {
+    auto st = (*snap)->OpenTable("t" + std::to_string(k));
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    auto contents = Contents(&*st);
+    EXPECT_EQ(contents.size(), 100u) << k;
+    for (const auto& [key, val] : contents) {
+      EXPECT_EQ(val, "good") << "table t" << k << " key " << key;
+    }
+  }
 
   ASSERT_TRUE(db_->Abort(loser).ok());
 }

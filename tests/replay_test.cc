@@ -407,10 +407,10 @@ TEST_F(ReplayEquivalenceTest, SnapshotMountEquivalentAcrossThreadCounts) {
 
       if (eager) {
         // Every tree's loser records are undone in one order whichever
-        // worker claims the tree, and this undo splits no page: the
-        // eager pages are byte-identical at every worker count. Page 0,
-        // the superblock, is written outside the log at every
-        // checkpoint, so it differs between reopens.
+        // worker claims the tree, and a tree's unlogged splits take ids
+        // from its own range: the eager pages are byte-identical at
+        // every worker count. Page 0, the superblock, is written outside
+        // the log at every checkpoint, so it differs between reopens.
         std::vector<std::string> pages;
         for (PageId id = 1; id < (*db)->data_file()->NumPages(); id++) {
           auto page = (*snap)->buffers()->FetchPage(id, AccessMode::kRead);

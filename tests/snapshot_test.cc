@@ -290,6 +290,9 @@ TEST_F(SnapshotTest, DroppedTableRecoveryEndToEnd) {
 
 TEST_F(SnapshotTest, InFlightTransactionInvisibleAfterUndo) {
   MakeKvTable();
+  Transaction* ddl = db_->Begin();
+  ASSERT_TRUE(db_->CreateIndex(ddl, "t_by_val", "t", {"val"}).ok());
+  ASSERT_TRUE(db_->Commit(ddl).ok());
   auto table = db_->OpenTable("t");
   clock_->Advance(10 * kSecond);
   PutRows(&*table, 0, 20, "committed");
@@ -309,12 +312,26 @@ TEST_F(SnapshotTest, InFlightTransactionInvisibleAfterUndo) {
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   auto st = (*snap)->OpenTable("t");
   ASSERT_TRUE(st.ok());
-  // Queries must not see the uncommitted effects (they may need to wait
-  // for the background undo).
+  // Queries must not see the uncommitted effects, even before the
+  // background undo finishes: each waits for its tree's undo or runs it.
   auto r5 = st->Get({5});
   ASSERT_TRUE(r5.ok()) << r5.status().ToString();
   EXPECT_EQ((*r5)[1].AsString(), "committed");
   EXPECT_TRUE(st->Get({999}).status().IsNotFound());
+  auto count = st->Count();
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 21u);  // 20 committed rows + the bump, no phantom
+  for (const char* val : {"phantom", "uncommitted", "committed"}) {
+    std::vector<int> ids;
+    ASSERT_TRUE(st->IndexScan("t_by_val", {std::string(val)},
+                              [&](const Row& row) {
+                                ids.push_back(row[0].AsInt32());
+                                return true;
+                              })
+                    .ok());
+    EXPECT_EQ(ids.size(), std::string(val) == "committed" ? 20u : 0u)
+        << val;
+  }
   ASSERT_TRUE((*snap)->WaitForUndo().ok());
   // Stable only now: under a lazy mount the analysis that counts the
   // losers runs in the background sweeper.

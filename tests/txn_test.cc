@@ -73,16 +73,6 @@ TEST(LockManagerTest, ReleaseAllClearsEverything) {
   EXPECT_EQ(lm.LockedKeyCount(), 0u);
 }
 
-TEST(LockManagerTest, GrantForRecoveryBypassesConflicts) {
-  LockManager lm;
-  // Re-acquisition during snapshot/crash redo never waits.
-  lm.GrantForRecovery(7, "k", LockMode::kExclusive);
-  EXPECT_TRUE(lm.Holds(7, "k", LockMode::kExclusive));
-  EXPECT_TRUE(lm.TryAcquire(8, "k", LockMode::kShared).IsBusy());
-  lm.ReleaseAll(7);
-  EXPECT_TRUE(lm.TryAcquire(8, "k", LockMode::kShared).ok());
-}
-
 TEST(LockManagerTest, RowLockKeyDistinguishesTrees) {
   EXPECT_NE(RowLockKey(1, "abc"), RowLockKey(2, "abc"));
   EXPECT_NE(RowLockKey(1, "abc"), RowLockKey(1, "abd"));
