@@ -236,7 +236,6 @@ struct LazyAsOfCost {
   double create_seconds = 0;       // split search + store setup only
   double first_query_seconds = 0;  // includes on-demand recovery
   uint64_t pages_recovered_on_demand = 0;
-  uint64_t index_build_micros = 0;  // background (sweeper) cost
   int result = 0;
 };
 
@@ -267,7 +266,6 @@ inline Result<LazyAsOfCost> MeasureLazyAsOf(History* h, int minutes_back,
   // Let the sweeper settle before the snapshot drops, so its background
   // IO is not still charging the clock into the next measurement.
   (void)snap->WaitForUndo();
-  out.index_build_micros = snap->creation_stats().index_build_micros;
   return out;
 }
 
@@ -425,9 +423,10 @@ inline void RunAsofVsRestore(const MediaProfile& media, const char* fig,
 }
 
 /// Shared driver for figures 9 and 10: split the as-of cost into
-/// snapshot creation vs query.
-inline void RunCreateVsQuery(const MediaProfile& media, const char* fig,
-                             const char* paper_line) {
+/// snapshot creation vs query. Returns the process exit status: 1 when
+/// the history build or a mount failed.
+inline int RunCreateVsQuery(const MediaProfile& media, const char* fig,
+                            const char* paper_line) {
   HistoryOptions ho;
   ho.data_media = media;
   ho.log_media = media;
@@ -435,7 +434,7 @@ inline void RunCreateVsQuery(const MediaProfile& media, const char* fig,
   if (!history.ok()) {
     printf("history build failed: %s\n",
            history.status().ToString().c_str());
-    return;
+    return 1;
   }
   History* h = history->get();
   PrintHeader(std::string(fig) +
@@ -450,7 +449,7 @@ inline void RunCreateVsQuery(const MediaProfile& media, const char* fig,
     auto asof = MeasureAsOf(h, t, "cq" + std::to_string(i++));
     if (!asof.ok()) {
       printf("as-of failed: %s\n", asof.status().ToString().c_str());
-      return;
+      return 1;
     }
     eager_create_s.push_back(asof->create_seconds);
     printf("%-12d %14.3f %14.3f %12.1f %10.1f %10.1f\n", t,
@@ -485,7 +484,7 @@ inline void RunCreateVsQuery(const MediaProfile& media, const char* fig,
     auto lazy = MeasureLazyAsOf(h, t, "lz" + std::to_string(i));
     if (!lazy.ok()) {
       printf("lazy as-of failed: %s\n", lazy.status().ToString().c_str());
-      return;
+      return 1;
     }
     printf("%-12d %16.3f %16.3f %16.3f %12llu\n", t,
            lazy->create_seconds * 1000.0,
@@ -495,11 +494,10 @@ inline void RunCreateVsQuery(const MediaProfile& media, const char* fig,
     printf("JSON {\"bench\":\"%s\",\"section\":\"lazy_mount\","
            "\"minutes_back\":%d,\"create_ms\":%.3f,"
            "\"first_query_ms\":%.1f,\"pages_recovered_on_demand\":%llu,"
-           "\"index_build_ms\":%.1f,\"eager_create_ms\":%.1f}\n",
+           "\"eager_create_ms\":%.1f}\n",
            fig, t, lazy->create_seconds * 1000.0,
            lazy->first_query_seconds * 1000.0,
            static_cast<unsigned long long>(lazy->pages_recovered_on_demand),
-           static_cast<double>(lazy->index_build_micros) / 1000.0,
            eager_create_s[static_cast<size_t>(i)] * 1000.0);
     i++;
   }
@@ -523,12 +521,12 @@ inline void RunCreateVsQuery(const MediaProfile& media, const char* fig,
     auto first = MeasureAsOf(h, t, "vs_cold" + std::to_string(t));
     if (!first.ok()) {
       printf("as-of failed: %s\n", first.status().ToString().c_str());
-      return;
+      return 1;
     }
     auto second = MeasureAsOf(h, t, "vs_warm" + std::to_string(t));
     if (!second.ok()) {
       printf("as-of failed: %s\n", second.status().ToString().c_str());
-      return;
+      return 1;
     }
     VersionStore::Stats vs = h->db->version_store()->stats();
     printf("%-12d %16llu %16llu %12llu %12llu\n", t,
@@ -554,6 +552,7 @@ inline void RunCreateVsQuery(const MediaProfile& media, const char* fig,
   PrintEngineStats(h->db.get());
   printf("\nexpected shape: the second snapshot undoes >=50%% fewer "
          "records (near zero: exact hits replace entire chain walks)\n");
+  return 0;
 }
 
 inline void PrintHeader(const std::string& title,

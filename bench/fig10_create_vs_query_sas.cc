@@ -6,8 +6,7 @@
 #include "bench_common.h"
 
 int main() {
-  rewinddb::bench::RunCreateVsQuery(
+  return rewinddb::bench::RunCreateVsQuery(
       rewinddb::MediaProfile::Sas(), "fig10",
       "SAS: creation ~flat; query grows and dominates");
-  return 0;
 }

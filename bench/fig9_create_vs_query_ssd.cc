@@ -7,8 +7,7 @@
 #include "bench_common.h"
 
 int main() {
-  rewinddb::bench::RunCreateVsQuery(
+  return rewinddb::bench::RunCreateVsQuery(
       rewinddb::MediaProfile::Ssd(), "fig9",
       "SSD: creation ~flat; query grows with minutes back");
-  return 0;
 }

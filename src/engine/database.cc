@@ -22,24 +22,6 @@ uint64_t DefaultCheckpointIntervalBytes() {
   return cached;
 }
 
-bool DefaultArchiveEnabled() {
-  static const bool cached = [] {
-    const char* env = std::getenv("REWINDDB_ARCHIVE");
-    return env != nullptr && *env != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-  }();
-  return cached;
-}
-
-bool DefaultLazyMount() {
-  static const bool cached = [] {
-    const char* env = std::getenv("REWINDDB_LAZY_MOUNT");
-    return env != nullptr && *env != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-  }();
-  return cached;
-}
-
 namespace {
 bool EnvFlagSet(const char* name) {
   const char* env = std::getenv(name);
@@ -48,27 +30,18 @@ bool EnvFlagSet(const char* name) {
 }
 }  // namespace
 
-bool DefaultWalCompression() {
-  // REWINDDB_WAL_DIET=1 is the one-switch diet (compression + delta
-  // FPIs); REWINDDB_WAL_COMPRESSION toggles this half alone.
-  static const bool cached = [] {
-    return EnvFlagSet("REWINDDB_WAL_COMPRESSION") ||
-           EnvFlagSet("REWINDDB_WAL_DIET");
-  }();
+bool DefaultArchiveEnabled() {
+  static const bool cached = EnvFlagSet("REWINDDB_ARCHIVE");
   return cached;
 }
 
-uint64_t DefaultFpiDeltaWindowBytes() {
-  static const uint64_t cached = [] {
-    const char* env = std::getenv("REWINDDB_FPI_DELTA_WINDOW_BYTES");
-    if (env != nullptr && *env != '\0') {
-      return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
-    }
-    // The diet switch turns delta FPIs on at a window that comfortably
-    // spans a few checkpoint intervals of the test workloads.
-    if (EnvFlagSet("REWINDDB_WAL_DIET")) return uint64_t{1} << 20;
-    return uint64_t{0};
-  }();
+bool DefaultLazyMount() {
+  static const bool cached = EnvFlagSet("REWINDDB_LAZY_MOUNT");
+  return cached;
+}
+
+bool DefaultWalDiet() {
+  static const bool cached = EnvFlagSet("REWINDDB_WAL_DIET");
   return cached;
 }
 
@@ -165,7 +138,7 @@ Status Database::InitStorage(bool create) {
   store_ = std::make_unique<FilePageStore>(data_file_.get());
   buffers_ = std::make_unique<BufferManager>(store_.get(), wal_.get(),
                                              &stats_, opts_.buffer_pool_pages,
-                                             opts_.verify_checksums,
+                                             /*verify_checksums=*/true,
                                              opts_.buffer_shards);
   txns_ = std::make_unique<TransactionManager>(wal_.get(), &locks_, clock_,
                                                opts_.default_commit_mode);

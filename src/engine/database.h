@@ -53,13 +53,10 @@ bool DefaultArchiveEnabled();
 /// whole suite with lazy mounts on.
 bool DefaultLazyMount();
 
-/// True when REWINDDB_WAL_COMPRESSION or REWINDDB_WAL_DIET asks for
-/// group-commit batch compression (any non-empty value except "0").
-bool DefaultWalCompression();
-
-/// The REWINDDB_FPI_DELTA_WINDOW_BYTES environment variable, else
-/// 1 MiB when REWINDDB_WAL_DIET is set, else 0 (delta FPIs off).
-uint64_t DefaultFpiDeltaWindowBytes();
+/// True when the REWINDDB_WAL_DIET environment variable asks for both
+/// halves of the WAL diet (any non-empty value except "0"): compressed
+/// flush frames and delta FPIs.
+bool DefaultWalDiet();
 
 struct DatabaseOptions {
   /// Buffer pool capacity in pages. Frames are allocated on first use:
@@ -71,13 +68,14 @@ struct DatabaseOptions {
   uint32_t fpi_period = 0;
   /// Delta-encode periodic FPIs against the page's previous FPI when
   /// that FPI lies within this many bytes of log (the WAL-diet FPI
-  /// half; 0 = always log full images). The default honours
-  /// REWINDDB_FPI_DELTA_WINDOW_BYTES / REWINDDB_WAL_DIET.
-  uint64_t fpi_delta_window_bytes = DefaultFpiDeltaWindowBytes();
+  /// half; 0 = always log full images). The default is 1 MiB under
+  /// REWINDDB_WAL_DIET, else 0: a window that comfortably spans a few
+  /// checkpoint intervals of the test workloads.
+  uint64_t fpi_delta_window_bytes = DefaultWalDiet() ? uint64_t{1} << 20 : 0;
   /// Compress group-commit flush batches into frames (the WAL-diet
   /// space half; readers handle framed logs unconditionally). The
-  /// default honours REWINDDB_WAL_COMPRESSION / REWINDDB_WAL_DIET.
-  bool wal_compression = DefaultWalCompression();
+  /// default honours REWINDDB_WAL_DIET.
+  bool wal_compression = DefaultWalDiet();
   /// Retention period for as-of queries (ALTER DATABASE SET
   /// UNDO_INTERVAL, section 4.3). Default: 24 hours.
   uint64_t undo_interval_micros = 24ULL * 3600 * 1'000'000;
@@ -100,7 +98,6 @@ struct DatabaseOptions {
   /// Background WAL flusher cadence for kAsync/kNone stragglers;
   /// 0 flushes only on demand (deterministic for crash tests).
   uint64_t wal_flush_interval_micros = 2'000;
-  bool verify_checksums = true;
   uint64_t lock_timeout_micros = 1'000'000;
   /// Background checkpoint cadence; 0 = manual checkpoints only. The
   /// background thread takes FUZZY checkpoints (writers never drained)
@@ -141,13 +138,12 @@ struct DatabaseOptions {
   /// Lazy AS OF mounts: snapshot creation records only the SplitLSN
   /// and defers analysis + loser undo to a background sweeper, while
   /// pages are recovered individually on first access (per-page rewind
-  /// entered through the mount's page log index). Mount cost becomes
-  /// O(1) in log-since-backup; first-query latency becomes O(working
-  /// set). The eager path (default) stays the oracle: both produce the
-  /// same rows and byte-identical page images
-  /// (tests/lazy_mount_test.cc). Overridable per session with SET
-  /// MOUNT_MODE. The default honours the REWINDDB_LAZY_MOUNT
-  /// environment variable.
+  /// from the primary's pool image). Mount cost becomes O(1) in
+  /// log-since-backup; first-query latency becomes O(working set).
+  /// The eager path (default) stays the oracle: both produce the same
+  /// rows and byte-identical page images (tests/lazy_mount_test.cc).
+  /// Overridable per session with SET MOUNT_MODE. The default honours
+  /// the REWINDDB_LAZY_MOUNT environment variable.
   bool lazy_mount = DefaultLazyMount();
 };
 
@@ -160,9 +156,6 @@ struct LazyMountCounters {
   uint64_t eager_mounts = 0;
   /// Pages recovered on first access by a lazily mounted snapshot.
   uint64_t pages_recovered_on_demand = 0;
-  /// On-demand recoveries that entered the chain at an indexed
-  /// post-split page image instead of walking from the current page.
-  uint64_t fpi_index_hits = 0;
   /// Trees whose loser undo was applied on first query touch, under
   /// either mount mode (the remainder were completed by the background
   /// pass).
@@ -366,9 +359,8 @@ class Database {
     (lazy ? lazy_mounts_ : eager_mounts_)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  void BumpPagesRecoveredOnDemand(bool via_fpi_index) {
+  void BumpPagesRecoveredOnDemand() {
     pages_recovered_on_demand_.fetch_add(1, std::memory_order_relaxed);
-    if (via_fpi_index) fpi_index_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   void BumpTreesRecoveredOnDemand(uint64_t n) {
     trees_recovered_on_demand_.fetch_add(n, std::memory_order_relaxed);
@@ -382,7 +374,6 @@ class Database {
     c.eager_mounts = eager_mounts_.load(std::memory_order_relaxed);
     c.pages_recovered_on_demand =
         pages_recovered_on_demand_.load(std::memory_order_relaxed);
-    c.fpi_index_hits = fpi_index_hits_.load(std::memory_order_relaxed);
     c.trees_recovered_on_demand =
         trees_recovered_on_demand_.load(std::memory_order_relaxed);
     c.sweeps_completed = sweeps_completed_.load(std::memory_order_relaxed);
@@ -486,7 +477,6 @@ class Database {
   std::atomic<uint64_t> lazy_mounts_{0};
   std::atomic<uint64_t> eager_mounts_{0};
   std::atomic<uint64_t> pages_recovered_on_demand_{0};
-  std::atomic<uint64_t> fpi_index_hits_{0};
   std::atomic<uint64_t> trees_recovered_on_demand_{0};
   std::atomic<uint64_t> sweeps_completed_{0};
 

@@ -42,16 +42,15 @@ Status SnapshotStore::ReadPage(PageId id, char* buf, bool* dirty) {
   // Section 5.3 protocol, with the shared version store between the
   // side file and the primary: (a) side file, (b) version store --
   // exact hit needs no chain walk at all, a newer-than-target version
-  // seeds the rewind so the walk covers only the gap, (c) a fresh
-  // image + rewind (RecoverPage; the image source and entry point
-  // depend on the mount mode). Completed rewinds publish their
-  // pristine result for other snapshots. The prepared page goes to the
-  // snapshot's pool dirty, and the pool writes it to the side file when
-  // it evicts or flushes it. A recovery failure caches NOTHING -- the
+  // seeds the rewind so the walk covers only the gap, (c) a seed image
+  // + rewind (RecoverPage; the seed's source depends on the mount
+  // mode). Completed rewinds publish their pristine result for other
+  // snapshots. The prepared page goes to the snapshot's pool dirty, and
+  // the pool writes it to the side file when it evicts or flushes it. A recovery failure caches NOTHING -- the
   // pool retracts the failed miss and the version store never sees a
   // partial page, so a later read simply retries.
   *dirty = false;
-  Status s = side_->ReadPage(id, buf);
+  Status s = owner_->side_file()->ReadPage(id, buf);
   if (s.ok()) return s;
   if (!s.IsNotFound()) return s;
 
@@ -64,80 +63,37 @@ Status SnapshotStore::ReadPage(PageId id, char* buf, bool* dirty) {
 }
 
 Status SnapshotStore::RecoverPage(PageId id, char* buf) {
-  VersionStore::Lookup hit;
-  if (versions_ != nullptr) hit = versions_->Find(id, split_lsn_, buf);
+  // One path for both mount modes: version store, seed image, rewind,
+  // publish. The rewinder's full-page-image jumps (section 6.1) skip
+  // post-split log regions for either seed.
+  VersionStore* versions = owner_->primary()->version_store();
+  const Lsn split = owner_->split_lsn();
+  VersionStore::Lookup hit = versions->Find(id, split, buf);
   if (hit.kind == VersionStore::LookupKind::kExact) return Status::OK();
-
-  const bool lazy = owner_ != nullptr && owner_->lazy();
-  bool have_seed = hit.kind == VersionStore::LookupKind::kPartial;
-  bool via_fpi = false;
-  bool walk_done = false;
-  Lsn valid_until = kInvalidLsn;
-
-  if (!have_seed && lazy) {
-    REWIND_RETURN_IF_ERROR(
-        owner_->CheckRecoveryFault(RecoveryFaultPoint::kIndexLookup, id));
-    std::optional<PageLogIndex::Entry> e;
-    if (owner_->page_log_index() != nullptr) {
-      e = owner_->page_log_index()->Lookup(id);
-    }
-    if (e.has_value() && e->fpi_lsn != kInvalidLsn) {
-      // Enter the chain at the indexed post-split image. Its payload is
-      // the page as of fpi.prev_page_lsn, so the walk (if any) covers
-      // only (split, fpi.prev_page_lsn] -- the post-split churn between
-      // the image and "now" is never scanned.
-      wal::Cursor cur = owner_->primary()->log()->OpenCursor();
-      REWIND_RETURN_IF_ERROR(cur.SeekTo(e->fpi_lsn));
-      const LogRecord& fpi = cur.record();
-      if (fpi.type != LogType::kPreformat &&
-          fpi.type != LogType::kFpiDelta) {
-        return Status::Corruption(
-            "page log index does not point at a page image");
-      }
-      // Delta-encoded FPIs stand for the same full image; compose the
-      // chain (lazy/eager parity: both paths go through the same
-      // materialization, so the seeded bytes are identical).
-      std::string img;
-      REWIND_RETURN_IF_ERROR(wal::MaterializeFpiImage(cur, &img));
-      memcpy(buf, img.data(), kPageSize);
-      SetPageLsn(buf, fpi.prev_page_lsn);
-      Header(buf)->last_fpi_lsn = fpi.prev_fpi_lsn;
-      via_fpi = true;
-      have_seed = true;
-      if (PageLsn(buf) <= split_lsn_) {
-        // The image IS the split-time page: valid until the preformat
-        // record that captured it.
-        valid_until = e->fpi_lsn;
-        walk_done = true;
-      }
-    } else {
-      // No indexed entry point: rewind from the CURRENT image, read
-      // through the primary's buffer pool so unflushed changes (no
-      // creation checkpoint under lazy!) are included.
-      REWIND_ASSIGN_OR_RETURN(
-          PageGuard live,
-          owner_->primary()->buffers()->FetchPage(id, AccessMode::kRead));
+  if (hit.kind != VersionStore::LookupKind::kPartial) {
+    if (owner_->lazy()) {
+      // No creation checkpoint: read the CURRENT image through the
+      // primary's buffer pool, so unflushed changes are included.
+      REWIND_ASSIGN_OR_RETURN(PageGuard live,
+                              owner_->primary()->buffers()->FetchPage(
+                                  id, AccessMode::kRead));
       memcpy(buf, live.data(), kPageSize);
-      have_seed = true;
+    } else {
+      REWIND_RETURN_IF_ERROR(owner_->primary()->data_file()->ReadPage(id, buf));
     }
-  } else if (!have_seed) {
-    REWIND_RETURN_IF_ERROR(primary_->ReadPage(id, buf));
   }
-  if (!walk_done) {
-    if (lazy) {
-      REWIND_RETURN_IF_ERROR(
-          owner_->CheckRecoveryFault(RecoveryFaultPoint::kRewindRead, id));
-    }
-    REWIND_RETURN_IF_ERROR(
-        rewinder_->PreparePageAsOf(buf, split_lsn_, &valid_until));
-  }
-  if (versions_ != nullptr) versions_->Publish(id, buf, valid_until);
-  if (lazy) owner_->NotePageRecovered(via_fpi);
+  REWIND_RETURN_IF_ERROR(
+      owner_->CheckRecoveryFault(RecoveryFaultPoint::kRewindRead, id));
+  Lsn valid_until = kInvalidLsn;
+  REWIND_RETURN_IF_ERROR(
+      owner_->rewinder()->PreparePageAsOf(buf, split, &valid_until));
+  versions->Publish(id, buf, valid_until);
+  if (owner_->lazy()) owner_->NotePageRecovered();
   return Status::OK();
 }
 
 Status SnapshotStore::WritePage(PageId id, const char* buf) {
-  return side_->WritePage(id, buf);
+  return owner_->side_file()->WritePage(id, buf);
 }
 
 // ---------------------------- SnapshotTable ---------------------------
@@ -237,10 +193,6 @@ Result<std::unique_ptr<AsOfSnapshot>> AsOfSnapshot::Create(
   snap->stats_.checkpoint_lsn = split.checkpoint_lsn;
   snap->stats_.lazy = mode == MountMode::kLazy;
   snap->stats_.replay_threads = std::max(1, primary->options().replay_threads);
-  if (mode == MountMode::kLazy) {
-    snap->mount_end_lsn_ = primary->log()->next_lsn();
-    snap->page_index_ = std::make_unique<PageLogIndex>(split.split_lsn);
-  }
   REWIND_RETURN_IF_ERROR(snap->SetupStorage());
   // An eager mount runs analysis and the loser chain walk before it
   // opens (section 5.2). The whole lazy mount is the split search
@@ -261,10 +213,7 @@ Status AsOfSnapshot::SetupStorage() {
   REWIND_ASSIGN_OR_RETURN(
       side_, SparseFile::Create(primary_->dir() + "/" + name_ + ".side",
                                 primary_->data_disk(), primary_->stats()));
-  store_ = std::make_unique<SnapshotStore>(primary_->data_file(), side_.get(),
-                                           &rewinder_,
-                                           primary_->version_store(),
-                                           split_.split_lsn, this);
+  store_ = std::make_unique<SnapshotStore>(this);
   buffers_ = std::make_unique<BufferManager>(
       store_.get(), /*log=*/nullptr, primary_->stats(),
       primary_->options().buffer_pool_pages, /*verify_checksums=*/false,
@@ -384,20 +333,7 @@ void AsOfSnapshot::BackgroundRecovery() {
   Clock* clock = primary_->clock();
   const uint64_t t0 = clock->NowMicros();
   Status s;
-  if (lazy()) {
-    s = Analyze();
-    if (s.ok()) {
-      // Per-page chain index over (split, mount_end]. A failed build is
-      // tolerated: the index only ever serves positive hits, so a
-      // partial index is sound and readers fall back to current-image
-      // rewinds.
-      const uint64_t t_index = clock->NowMicros();
-      Status bs = page_index_->Build(primary_->log(), mount_end_lsn_, clock);
-      (void)bs;
-      std::lock_guard<std::mutex> sg(stats_mu_);
-      stats_.index_build_micros = clock->NowMicros() - t_index;
-    }
-  }
+  if (lazy()) s = Analyze();
   if (s.ok()) {
     // Every tree's loser undo, so a mount converges to the fully
     // undone state even for trees no query ever touches. Trees fan out
@@ -510,9 +446,9 @@ Status AsOfSnapshot::CheckRecoveryFault(RecoveryFaultPoint point,
   return hook(point, id);
 }
 
-void AsOfSnapshot::NotePageRecovered(bool via_fpi_index) {
+void AsOfSnapshot::NotePageRecovered() {
   pages_recovered_.fetch_add(1, std::memory_order_relaxed);
-  primary_->BumpPagesRecoveredOnDemand(via_fpi_index);
+  primary_->BumpPagesRecoveredOnDemand();
 }
 
 Status AsOfSnapshot::UndoUserRowUnlogged(const LogRecord& rec,
@@ -703,6 +639,22 @@ Status AsOfSnapshot::UnloggedSplit(TreeRecovery* tr, TreeId tree,
 Status AsOfSnapshot::WaitForUndo() {
   std::lock_guard<std::mutex> g(undo_join_mu_);
   if (undo_thread_.joinable()) undo_thread_.join();
+  if (undo_status_.ok()) return undo_status_;
+  // The pass failed. An analysis failure stands; otherwise finish the
+  // trees it left pending, as a query of each would, so the mount
+  // settles once the fault has cleared.
+  std::vector<TreeId> pending;
+  {
+    std::lock_guard<std::mutex> lk(trees_mu_);
+    if (!analysis_status_.ok()) return undo_status_;
+    for (const auto& [tree, tr] : tree_work_) {
+      if (tr.state != TreeRecovery::State::kDone) pending.push_back(tree);
+    }
+  }
+  for (TreeId tree : pending) {
+    REWIND_RETURN_IF_ERROR(EnsureTreeRecoveredImpl(tree, /*on_demand=*/false));
+  }
+  undo_status_ = Status::OK();
   return undo_status_;
 }
 
@@ -735,10 +687,10 @@ Status AsOfSnapshot::Drop() {
 }
 
 AsOfSnapshot::~AsOfSnapshot() {
-  Status s = WaitForUndo();
-  (void)s;
+  // Join only: a mount being dropped starts no undo work.
+  if (undo_thread_.joinable()) undo_thread_.join();
   primary_->UnregisterSnapshotAnchor(split_.checkpoint_lsn);
-  s = Drop();
+  Status s = Drop();
   (void)s;
 }
 

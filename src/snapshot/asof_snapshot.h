@@ -5,8 +5,8 @@
 // retention period. It is built from three pieces:
 //
 //  * SnapshotStore -- a PageStore whose read path implements the
-//    section 5.3 protocol: side file hit -> return; miss -> read the
-//    page from the PRIMARY's data file, PreparePageAsOf(page, SplitLSN)
+//    section 5.3 protocol: side file hit -> return; miss -> take a seed
+//    image of the page from the PRIMARY, PreparePageAsOf(page, SplitLSN)
 //    and hand the rewound page to the snapshot's buffer pool as dirty.
 //    The pool is the page's first home; the sparse side file receives
 //    it only when the pool evicts or flushes it, so a page is rewound
@@ -58,7 +58,6 @@
 #include "catalog/catalog.h"
 #include "engine/database.h"
 #include "io/sparse_file.h"
-#include "snapshot/page_log_index.h"
 #include "snapshot/page_rewinder.h"
 #include "snapshot/split_lsn.h"
 #include "snapshot/version_store.h"
@@ -69,7 +68,7 @@ class AsOfSnapshot;
 
 /// How a snapshot is brought up (DatabaseOptions::lazy_mount picks the
 /// default; SET MOUNT_MODE overrides per session). The modes differ in
-/// where analysis runs and where a page comes from:
+/// where analysis runs and in which image seeds a page's rewind:
 ///
 ///  * kEager -- the section 5.1/5.2 pipeline: split search, a creation
 ///    checkpoint that writes only the pages dirtied at or before the
@@ -77,9 +76,8 @@ class AsOfSnapshot;
 ///    tree. Pages are rewound from the primary FILE. Create cost grows
 ///    with log-since-checkpoint.
 ///  * kLazy -- create records only the SplitLSN (waypoint-narrowed
-///    search) and returns; the background pass first runs analysis and
-///    builds the per-page log index. Pages are rewound from the
-///    primary's pool, or from an indexed page image.
+///    search) and returns; the background pass first runs analysis.
+///    Pages are rewound from the primary's pool.
 ///
 /// Queries wait at one per-tree gate in both modes: each TREE's loser
 /// records are undone before its first query reads it (by key, below
@@ -92,39 +90,34 @@ class AsOfSnapshot;
 /// replay_threads.
 enum class MountMode { kEager, kLazy };
 
-/// Test-only fault injection into snapshot recovery: a lazy mount's
-/// page recovery (kIndexLookup / kRewindRead, argument: the page id)
-/// and either mode's per-tree undo (kUndoApply, argument: the tree id).
+/// Test-only fault injection into snapshot recovery, in either mode:
+/// page recovery right before the rewind (kRewindRead, argument: the
+/// page id) and per-tree undo (kUndoApply, argument: the tree id).
 /// Returning !ok() makes the recovery step fail exactly as a real IO
 /// error there would.
-enum class RecoveryFaultPoint { kIndexLookup, kRewindRead, kUndoApply };
+enum class RecoveryFaultPoint { kRewindRead, kUndoApply };
 using RecoveryFaultHook = std::function<Status(RecoveryFaultPoint, uint64_t)>;
 
 /// PageStore implementing the as-of read protocol of section 5.3,
 /// extended with the shared version store: side-file hit -> version
 /// store (exact hit returns immediately; a newer-than-target version
-/// becomes the rewind starting point) -> primary read + full rewind.
-/// Every completed rewind publishes its pristine result back to the
-/// store, so concurrent snapshots at nearby times share undo work.
-/// The read path never writes the side file: a page served from
-/// anywhere but the side file is reported dirty, and the snapshot's
-/// pool writes it there when it evicts or flushes the page.
+/// becomes the rewind starting point) -> a seed image from the primary
+/// + full rewind. Every completed rewind publishes its pristine result
+/// back to the store, so concurrent snapshots at nearby times share
+/// undo work. The read path never writes the side file: a page served
+/// from anywhere but the side file is reported dirty, and the
+/// snapshot's pool writes it there when it evicts or flushes the page.
 class SnapshotStore : public PageStore {
  public:
-  /// `versions` may be null (engine without a version store). `owner`
-  /// may be null (tests building a bare store); without it the store
-  /// always takes the eager path: primary FILE read + full rewind. With
-  /// a lazily mounted owner, a miss instead reads the CURRENT page
-  /// image through the primary's buffer pool (sound: page LSNs are
-  /// stamped only after the record is published, and the WAL tail is
-  /// cursor-readable, so the rewinder can always walk back from the
-  /// live image) -- or enters the chain directly at an indexed
-  /// post-split page image, skipping the post-split churn entirely.
-  SnapshotStore(PagedFile* primary, SparseFile* side, PageRewinder* rewinder,
-                VersionStore* versions, Lsn split_lsn,
-                AsOfSnapshot* owner = nullptr)
-      : primary_(primary), side_(side), rewinder_(rewinder),
-        versions_(versions), split_lsn_(split_lsn), owner_(owner) {}
+  /// The split, the rewinder, the side file and the primary all come
+  /// from `owner`. Both mount modes recover a page the same way; they
+  /// differ only in the seed image. An eager mount reads the primary
+  /// FILE, which its creation checkpoint brought up to the split. A
+  /// lazy mount copies the CURRENT image out of the primary's buffer
+  /// pool (sound: page LSNs are stamped only after the record is
+  /// published, and the WAL tail is cursor-readable, so the rewinder
+  /// can always walk back from the live image).
+  explicit SnapshotStore(AsOfSnapshot* owner) : owner_(owner) {}
 
   /// `*dirty` is false on a side-file hit and true for a recovered
   /// page, which the side file does not hold yet.
@@ -143,11 +136,6 @@ class SnapshotStore : public PageStore {
   /// the pool retracts the failed miss.
   Status RecoverPage(PageId id, char* buf);
 
-  PagedFile* primary_;
-  SparseFile* side_;
-  PageRewinder* rewinder_;
-  VersionStore* versions_;
-  Lsn split_lsn_;
   AsOfSnapshot* owner_;
 };
 
@@ -219,8 +207,6 @@ class AsOfSnapshot {
     /// (read after WaitForUndo); create_micros covers only the split
     /// search + store setup -- the O(1) mount claim fig9 measures.
     bool lazy = false;
-    /// Per-page log index build time (lazy only; background).
-    uint64_t index_build_micros = 0;
   };
 
   ~AsOfSnapshot();
@@ -231,10 +217,9 @@ class AsOfSnapshot {
   /// Eager: opens for queries as soon as analysis/redo complete; the
   /// undo of in-flight transactions proceeds in the background, and a
   /// query of a tree not yet undone waits for it or runs it. Lazy:
-  /// opens immediately after the split search; analysis, the page log
-  /// index and loser undo proceed in the background, and queries
-  /// recover what they touch. Mode defaults to the primary's
-  /// DatabaseOptions::lazy_mount.
+  /// opens immediately after the split search; analysis and loser undo
+  /// proceed in the background, and queries recover what they touch.
+  /// Mode defaults to the primary's DatabaseOptions::lazy_mount.
   static Result<std::unique_ptr<AsOfSnapshot>> Create(Database* primary,
                                                       const std::string& name,
                                                       WallClock as_of);
@@ -248,8 +233,12 @@ class AsOfSnapshot {
   Result<SnapshotTable> OpenTable(const std::string& name);
   Result<std::vector<TableInfo>> ListTables();
 
-  /// Block until the background undo pass finishes. Safe to call from
-  /// several ReadView handles concurrently.
+  /// Block until the background undo pass finishes. If the pass failed
+  /// after analysis, claim and retry every tree it left pending, as a
+  /// query would, so the mount settles once the fault clears: returns
+  /// the retry's first failure, or OK. An analysis failure is returned
+  /// unchanged. Safe to call from several ReadView handles
+  /// concurrently.
   Status WaitForUndo();
 
   /// Per-tree reader/writer latch (mirrors Database::TreeLatch).
@@ -271,8 +260,6 @@ class AsOfSnapshot {
 
   // ------------------------- lazy-mount surface ----------------------
   bool lazy() const { return mode_ == MountMode::kLazy; }
-  /// The mount's per-page chain index (lazy only; null under kEager).
-  PageLogIndex* page_log_index() { return page_index_.get(); }
   /// Block until this tree's loser records are undone on the
   /// snapshot's pages, claiming and running the undo if no other
   /// thread has (no-op for trees no loser touched). Called by the query
@@ -292,7 +279,7 @@ class AsOfSnapshot {
   /// Internal: consult the fault hook at `point` (OK when unset).
   Status CheckRecoveryFault(RecoveryFaultPoint point, uint64_t id);
   /// Internal (store callback): one page was recovered on demand.
-  void NotePageRecovered(bool via_fpi_index);
+  void NotePageRecovered();
 
   /// Delete the side file (done automatically on destruction).
   Status Drop();
@@ -315,9 +302,8 @@ class AsOfSnapshot {
   /// ScanAnalysis + one walk of every loser chain: fills tree_work_,
   /// each tree with its worklist and its private page-id range.
   Status BuildTreeWork();
-  /// The background pass (both modes): [kLazy: Analyze, page log index
-  /// build] -> every tree's undo through ParallelFor(replay_threads)
-  /// -> side-file flush.
+  /// The background pass (both modes): [kLazy: Analyze] -> every
+  /// tree's undo through ParallelFor(replay_threads) -> side-file flush.
   void BackgroundRecovery();
   struct TreeRecovery;
   /// Apply tree-restricted loser undo in descending-LSN order,
@@ -341,12 +327,7 @@ class AsOfSnapshot {
   std::string name_;
   SplitPoint split_;
   const MountMode mode_;
-  /// Log end at mount time: upper bound of the page log index's build
-  /// scan (records past it belong to the primary's future, which the
-  /// per-page rewind handles without the index).
-  Lsn mount_end_lsn_ = kInvalidLsn;
   PageRewinder rewinder_;
-  std::unique_ptr<PageLogIndex> page_index_;
 
   std::unique_ptr<SparseFile> side_;
   std::unique_ptr<SnapshotStore> store_;

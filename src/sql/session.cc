@@ -223,7 +223,6 @@ SqlResult SqlSession::ShowStats() {
   add("lazy_mount.lazy_mounts", lm.lazy_mounts);
   add("lazy_mount.eager_mounts", lm.eager_mounts);
   add("lazy_mount.pages_recovered_on_demand", lm.pages_recovered_on_demand);
-  add("lazy_mount.fpi_index_hits", lm.fpi_index_hits);
   add("lazy_mount.trees_recovered_on_demand", lm.trees_recovered_on_demand);
   add("lazy_mount.sweeps_completed", lm.sweeps_completed);
 

@@ -494,16 +494,6 @@ size_t ArchiveManager::segment_count() const {
   return segments_.size();
 }
 
-std::vector<ArchiveSegment> ArchiveManager::segments() const {
-  std::lock_guard<std::mutex> g(mu_);
-  std::vector<ArchiveSegment> out;
-  out.reserve(segments_.size());
-  for (const Segment& s : segments_) {
-    out.push_back({s.first_lsn, s.last_lsn, s.path});
-  }
-  return out;
-}
-
 ArchiveStats ArchiveManager::stats() const {
   ArchiveStats out;
   out.segments_sealed = segments_sealed_.load(std::memory_order_relaxed);

@@ -91,14 +91,6 @@ struct ArchiveStats {
   uint64_t verifications = 0;
 };
 
-/// One retained segment (index entry; exposed for the backup log cut
-/// and for tests/tools that enumerate the on-disk layout).
-struct ArchiveSegment {
-  Lsn first_lsn = kInvalidLsn;
-  Lsn last_lsn = kInvalidLsn;  // exclusive
-  std::string path;            // absolute/joined path of the file
-};
-
 /// Owns one archive directory of sealed log segments.
 class ArchiveManager {
  public:
@@ -159,7 +151,6 @@ class ArchiveManager {
   /// space split).
   uint64_t archived_bytes() const;
   size_t segment_count() const;
-  std::vector<ArchiveSegment> segments() const;
   ArchiveStats stats() const;
   const std::string& dir() const { return dir_; }
 

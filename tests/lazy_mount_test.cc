@@ -483,8 +483,8 @@ TEST_P(LazyMountTest, SweeperCompletesThenQueriesMatchEager) {
 
 // -------------------------- fault injection ---------------------------
 
-// Page-granular fault points (kIndexLookup, kRewindRead) fire on the
-// query path only -- with no losers the sweeper never touches table
+// The page-granular fault point (kRewindRead) fires on the query path
+// only -- with no losers the background pass never touches table
 // pages, so failing a specific page id is deterministic.
 class LazyFaultTest : public LazyMountBase {
  protected:
@@ -509,69 +509,103 @@ class LazyFaultTest : public LazyMountBase {
     EXPECT_TRUE(db_->Commit(churn).ok());
     return t;
   }
+
+  /// History: eight tables of 100 "good" rows, each row updated to
+  /// "bad" by `*loser`, still in flight at `*t`. Eight trees of undo
+  /// outlast the moment a test needs to install a fault hook after
+  /// Create.
+  void BuildEightTreeLoser(Transaction** loser, WallClock* t) {
+    MakeKvTable("marker");
+    auto marker = db_->OpenTable("marker");
+    ASSERT_TRUE(marker.ok());
+    std::vector<Table> tables;
+    for (int k = 0; k < 8; k++) {
+      MakeKvTable("t" + std::to_string(k));
+      auto table = db_->OpenTable("t" + std::to_string(k));
+      ASSERT_TRUE(table.ok());
+      tables.push_back(std::move(*table));
+    }
+    clock_->Advance(10 * kSecond);
+    for (Table& table : tables) PutRows(&table, 0, 100, "good");
+    clock_->Advance(kSecond);
+    *loser = db_->Begin();
+    for (Table& table : tables) {
+      for (int i = 0; i < 100; i++) {
+        ASSERT_TRUE(table.Update(*loser, {i, std::string("bad")}).ok());
+      }
+    }
+    clock_->Advance(kSecond);
+    PutRows(&*marker, 0, 1, "bump");
+    *t = clock_->NowMicros();
+    clock_->Advance(kSecond);
+  }
+
+  /// Every row of the eight tables of BuildEightTreeLoser reads "good".
+  void ExpectEightTreesGood(AsOfSnapshot* snap) {
+    for (int k = 0; k < 8; k++) {
+      auto st = snap->OpenTable("t" + std::to_string(k));
+      ASSERT_TRUE(st.ok()) << st.status().ToString();
+      auto contents = Contents(&*st);
+      EXPECT_EQ(contents.size(), 100u) << k;
+      for (const auto& [key, val] : contents) {
+        EXPECT_EQ(val, "good") << "table t" << k << " key " << key;
+      }
+    }
+  }
 };
+
+Status FailUndoApply(RecoveryFaultPoint p, uint64_t) {
+  if (p == RecoveryFaultPoint::kUndoApply) {
+    return Status::IoError("injected undo fault");
+  }
+  return Status::OK();
+}
 
 TEST_F(LazyFaultTest, RewindReadFaultIsolatedAndRetryable) {
   WallClock t = BuildTwoTableHistory();
-  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t, MountMode::kLazy);
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  // Both modes recover a page through one path, so the fault point
+  // fires in both.
+  for (MountMode mode : {MountMode::kEager, MountMode::kLazy}) {
+    const bool eager = mode == MountMode::kEager;
+    auto snap = AsOfSnapshot::Create(db_.get(),
+                                     eager ? "fault-e" : "fault-l", t, mode);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
-  // Resolve roots first (recovers only catalog pages, hook not yet set).
-  auto sa = (*snap)->OpenTable("a");
-  auto sb = (*snap)->OpenTable("b");
-  ASSERT_TRUE(sa.ok() && sb.ok());
-  const PageId a_root = sa->info().root;
+    // Resolve roots first (recovers only catalog pages, hook not yet
+    // set).
+    auto sa = (*snap)->OpenTable("a");
+    auto sb = (*snap)->OpenTable("b");
+    ASSERT_TRUE(sa.ok() && sb.ok());
+    const PageId a_root = sa->info().root;
 
-  (*snap)->SetRecoveryFaultHook([a_root](RecoveryFaultPoint p, uint64_t id) {
-    if (p == RecoveryFaultPoint::kRewindRead && id == a_root) {
-      return Status::IoError("injected rewind fault");
-    }
-    return Status::OK();
-  });
+    (*snap)->SetRecoveryFaultHook([a_root](RecoveryFaultPoint p,
+                                           uint64_t id) {
+      if (p == RecoveryFaultPoint::kRewindRead && id == a_root) {
+        return Status::IoError("injected rewind fault");
+      }
+      return Status::OK();
+    });
 
-  // The faulted table fails -- twice: the first failure must not have
-  // cached a partial page in the side file, or the second read would
-  // "succeed" with garbage instead of re-attempting recovery.
-  Status s1 = ScanStatus(&*sa);
-  ASSERT_FALSE(s1.ok());
-  EXPECT_NE(s1.ToString().find("injected rewind fault"), std::string::npos)
-      << s1.ToString();
-  Status s2 = ScanStatus(&*sa);
-  ASSERT_FALSE(s2.ok());
+    // The faulted table fails -- twice: the first failure must not have
+    // cached a partial page in the side file, or the second read would
+    // "succeed" with garbage instead of re-attempting recovery.
+    Status s1 = ScanStatus(&*sa);
+    ASSERT_FALSE(s1.ok());
+    EXPECT_NE(s1.ToString().find("injected rewind fault"), std::string::npos)
+        << s1.ToString();
+    Status s2 = ScanStatus(&*sa);
+    ASSERT_FALSE(s2.ok());
 
-  // Other pages are not poisoned: table b reads fine under the hook.
-  EXPECT_EQ(Contents(&*sb).size(), 60u);
+    // Other pages are not poisoned: table b reads fine under the hook.
+    EXPECT_EQ(Contents(&*sb).size(), 60u);
 
-  // Clearing the hook makes the same handle recover and serve the
-  // correct pre-churn state.
-  (*snap)->SetRecoveryFaultHook(nullptr);
-  auto contents = Contents(&*sa);
-  EXPECT_EQ(contents.size(), 60u);
-  for (const auto& [k, v] : contents) EXPECT_EQ(v, "a1") << k;
-}
-
-TEST_F(LazyFaultTest, IndexLookupFaultIsolatedAndRetryable) {
-  WallClock t = BuildTwoTableHistory();
-  auto snap = AsOfSnapshot::Create(db_.get(), "fault", t, MountMode::kLazy);
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  auto sa = (*snap)->OpenTable("a");
-  auto sb = (*snap)->OpenTable("b");
-  ASSERT_TRUE(sa.ok() && sb.ok());
-  const PageId a_root = sa->info().root;
-
-  (*snap)->SetRecoveryFaultHook([a_root](RecoveryFaultPoint p, uint64_t id) {
-    if (p == RecoveryFaultPoint::kIndexLookup && id == a_root) {
-      return Status::IoError("injected index fault");
-    }
-    return Status::OK();
-  });
-  Status s = ScanStatus(&*sa);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("injected index fault"), std::string::npos);
-  EXPECT_EQ(Contents(&*sb).size(), 60u);
-
-  (*snap)->SetRecoveryFaultHook(nullptr);
-  EXPECT_EQ(Contents(&*sa).size(), 60u);
+    // Clearing the hook makes the same handle recover and serve the
+    // correct pre-churn state.
+    (*snap)->SetRecoveryFaultHook(nullptr);
+    auto contents = Contents(&*sa);
+    EXPECT_EQ(contents.size(), 60u);
+    for (const auto& [k, v] : contents) EXPECT_EQ(v, "a1") << k;
+  }
 }
 
 TEST_F(LazyFaultTest, UndoApplyFaultLeavesTreeResumable) {
@@ -599,12 +633,7 @@ TEST_F(LazyFaultTest, UndoApplyFaultLeavesTreeResumable) {
     // undoing at once. If the pass nevertheless wins the race the query
     // below simply succeeds -- the resume-after-clear assertions still
     // hold.
-    (*snap)->SetRecoveryFaultHook([](RecoveryFaultPoint p, uint64_t) {
-      if (p == RecoveryFaultPoint::kUndoApply) {
-        return Status::IoError("injected undo fault");
-      }
-      return Status::OK();
-    });
+    (*snap)->SetRecoveryFaultHook(FailUndoApply);
 
     auto st = (*snap)->OpenTable("t");
     ASSERT_TRUE(st.ok()) << st.status().ToString();
@@ -628,39 +657,15 @@ TEST_F(LazyFaultTest, UndoApplyFaultLeavesTreeResumable) {
 }
 
 TEST_F(LazyFaultTest, EagerUndoFaultLeavesTreeResumable) {
-  MakeKvTable("marker");
-  auto marker = db_->OpenTable("marker");
-  std::vector<Table> tables;
-  for (int k = 0; k < 8; k++) {
-    MakeKvTable("t" + std::to_string(k));
-    auto table = db_->OpenTable("t" + std::to_string(k));
-    ASSERT_TRUE(table.ok());
-    tables.push_back(std::move(*table));
-  }
-  clock_->Advance(10 * kSecond);
-  for (Table& table : tables) PutRows(&table, 0, 100, "good");
-  clock_->Advance(kSecond);
-  Transaction* loser = db_->Begin();
-  for (Table& table : tables) {
-    for (int i = 0; i < 100; i++) {
-      ASSERT_TRUE(table.Update(loser, {i, std::string("bad")}).ok());
-    }
-  }
-  clock_->Advance(kSecond);
-  PutRows(&*marker, 0, 1, "bump");
-  WallClock t = clock_->NowMicros();
-  clock_->Advance(kSecond);
+  Transaction* loser = nullptr;
+  WallClock t = 0;
+  ASSERT_NO_FATAL_FAILURE(BuildEightTreeLoser(&loser, &t));
 
   // The eager mount's background pass is already undoing when the hook
   // goes in, but eight trees outlast it: the pass fails.
   auto snap = AsOfSnapshot::Create(db_.get(), "fault", t, MountMode::kEager);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  (*snap)->SetRecoveryFaultHook([](RecoveryFaultPoint p, uint64_t) {
-    if (p == RecoveryFaultPoint::kUndoApply) {
-      return Status::IoError("injected undo fault");
-    }
-    return Status::OK();
-  });
+  (*snap)->SetRecoveryFaultHook(FailUndoApply);
   Status s = (*snap)->WaitForUndo();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find("injected undo fault"), std::string::npos)
@@ -669,14 +674,36 @@ TEST_F(LazyFaultTest, EagerUndoFaultLeavesTreeResumable) {
   // The failed pass leaves its trees pending, not open: once the fault
   // clears, each query finishes its tree's undo before it reads.
   (*snap)->SetRecoveryFaultHook(nullptr);
-  for (int k = 0; k < 8; k++) {
-    auto st = (*snap)->OpenTable("t" + std::to_string(k));
-    ASSERT_TRUE(st.ok()) << st.status().ToString();
-    auto contents = Contents(&*st);
-    EXPECT_EQ(contents.size(), 100u) << k;
-    for (const auto& [key, val] : contents) {
-      EXPECT_EQ(val, "good") << "table t" << k << " key " << key;
-    }
+  ExpectEightTreesGood(snap->get());
+
+  ASSERT_TRUE(db_->Abort(loser).ok());
+}
+
+TEST_F(LazyFaultTest, FailedPassSettlesOnceTheFaultClears) {
+  Transaction* loser = nullptr;
+  WallClock t = 0;
+  ASSERT_NO_FATAL_FAILURE(BuildEightTreeLoser(&loser, &t));
+
+  for (MountMode mode : {MountMode::kEager, MountMode::kLazy}) {
+    const bool eager = mode == MountMode::kEager;
+    auto snap = AsOfSnapshot::Create(db_.get(),
+                                     eager ? "settle-e" : "settle-l", t, mode);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    (*snap)->SetRecoveryFaultHook(FailUndoApply);
+    std::unique_ptr<ReadView> view = WrapSnapshot(snap->get());
+    Status s = view->WaitReady();
+    ASSERT_FALSE(s.ok()) << (eager ? "eager" : "lazy");
+    EXPECT_NE(s.ToString().find("injected undo fault"), std::string::npos)
+        << s.ToString();
+
+    // With the fault gone and no query run, waiting again finishes the
+    // trees the failed pass left pending: the mount is ready for SQL.
+    (*snap)->SetRecoveryFaultHook(nullptr);
+    s = view->WaitReady();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    s = (*snap)->WaitForUndo();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    ExpectEightTreesGood(snap->get());
   }
 
   ASSERT_TRUE(db_->Abort(loser).ok());
@@ -859,7 +886,6 @@ TEST_F(LazySqlTest, ShowStatsExposesLazyCounters) {
   ASSERT_TRUE(metrics.count("lazy_mount.lazy_mounts"));
   ASSERT_TRUE(metrics.count("lazy_mount.pages_recovered_on_demand"));
   ASSERT_TRUE(metrics.count("lazy_mount.trees_recovered_on_demand"));
-  ASSERT_TRUE(metrics.count("lazy_mount.fpi_index_hits"));
   ASSERT_TRUE(metrics.count("lazy_mount.sweeps_completed"));
   EXPECT_GE(metrics["lazy_mount.lazy_mounts"], 1);
   EXPECT_GT(metrics["lazy_mount.pages_recovered_on_demand"], 0);
