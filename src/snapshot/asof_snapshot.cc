@@ -44,10 +44,11 @@ Status SnapshotStore::ReadPage(PageId id, char* buf, bool* dirty) {
   // exact hit needs no chain walk at all, a newer-than-target version
   // seeds the rewind so the walk covers only the gap, (c) a seed image
   // + rewind (RecoverPage; the seed's source depends on the mount
-  // mode). Completed rewinds publish their pristine result for other
-  // snapshots. The prepared page goes to the snapshot's pool dirty, and
-  // the pool writes it to the side file when it evicts or flushes it. A recovery failure caches NOTHING -- the
-  // pool retracts the failed miss and the version store never sees a
+  // mode). Every recovered page, an untouched seed included, publishes
+  // its pristine result for other snapshots. The prepared page goes to
+  // the snapshot's pool dirty, and the pool writes it to the side file
+  // when it evicts or flushes it. A recovery failure caches NOTHING --
+  // the pool retracts the failed miss and the version store never sees a
   // partial page, so a later read simply retries.
   *dirty = false;
   Status s = owner_->side_file()->ReadPage(id, buf);
@@ -87,6 +88,12 @@ Status SnapshotStore::RecoverPage(PageId id, char* buf) {
   Lsn valid_until = kInvalidLsn;
   REWIND_RETURN_IF_ERROR(
       owner_->rewinder()->PreparePageAsOf(buf, split, &valid_until));
+  // A seed the walk left untouched already predated the split, and
+  // nothing changed the page between its LSN and the split: an eager
+  // mount's creation checkpoint wrote every page dirtied at or before
+  // the split, and a lazy seed is the live image. Its next change
+  // therefore lies after the split.
+  if (valid_until == kInvalidLsn) valid_until = split + 1;
   versions->Publish(id, buf, valid_until);
   if (owner_->lazy()) owner_->NotePageRecovered();
   return Status::OK();

@@ -102,9 +102,11 @@ using RecoveryFaultHook = std::function<Status(RecoveryFaultPoint, uint64_t)>;
 /// extended with the shared version store: side-file hit -> version
 /// store (exact hit returns immediately; a newer-than-target version
 /// becomes the rewind starting point) -> a seed image from the primary
-/// + full rewind. Every completed rewind publishes its pristine result
-/// back to the store, so concurrent snapshots at nearby times share
-/// undo work. The read path never writes the side file: a page served
+/// + full rewind. Every recovered page publishes its pristine result
+/// back to the store, a seed that needed no undo included (it already
+/// predated the split, so it is valid up to the split), so snapshots
+/// at nearby times share undo work and primary page reads. The read
+/// path never writes the side file: a page served
 /// from anywhere but the side file is reported dirty, and the
 /// snapshot's pool writes it there when it evicts or flushes the page.
 class SnapshotStore : public PageStore {

@@ -1,5 +1,6 @@
 #include "snapshot/version_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "page/page.h"
@@ -33,14 +34,14 @@ VersionStore::Lookup VersionStore::Find(PageId id, Lsn as_of_lsn,
       // Exact: the image of record for this target.
       auto at_or_below = std::prev(above);
       image = at_or_below->second.image;
-      lru_.splice(lru_.begin(), lru_, at_or_below->second.lru);
+      TouchLocked(&at_or_below->second);
       exact_hits_.fetch_add(1, std::memory_order_relaxed);
       out = {LookupKind::kExact, at_or_below->first};
     } else if (above != versions.end()) {
       // Partial: closest image newer than the target; the rewind
       // starts here and walks only the gap.
       image = above->second.image;
-      lru_.splice(lru_.begin(), lru_, above->second.lru);
+      TouchLocked(&above->second);
       partial_hits_.fetch_add(1, std::memory_order_relaxed);
       out = {LookupKind::kPartial, above->first};
     } else {
@@ -76,18 +77,20 @@ void VersionStore::Publish(PageId id, const char* buf, Lsn valid_until) {
   VersionMap& versions = pages_[id];
   auto it = versions.find(page_lsn);
   if (it != versions.end()) {
-    // Re-derived by a racing rewind; the chain makes valid_until a
-    // function of page_lsn, so just refresh recency.
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    // Re-derived by another mount. Both bounds are lower bounds of the
+    // page's next change (a walk's is exact), so the larger one holds.
+    it->second.valid_until = std::max(it->second.valid_until, valid_until);
+    TouchLocked(&it->second);
     return;
   }
   if (versions.size() >= kMaxVersionsPerPage) {
-    // Oldest-in-time versions are the least valuable (targets slide
-    // forward with the retention window): an incoming version older
-    // than everything cached is not worth a slot, otherwise the
-    // page's oldest yields.
-    if (page_lsn < versions.begin()->first) return;
-    EraseLocked(id, versions.begin());
+    // The page's least recently used version yields, not its oldest:
+    // the targets still being asked for may lie anywhere in history.
+    EraseLocked(id, std::min_element(
+                        versions.begin(), versions.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.second.last_use < b.second.last_use;
+                        }));
   }
   while (bytes_used_ + kVersionCost > budget && !lru_.empty()) {
     EvictOneLocked();
@@ -98,6 +101,7 @@ void VersionStore::Publish(PageId id, const char* buf, Lsn valid_until) {
   v.valid_until = valid_until;
   lru_.emplace_front(id, page_lsn);
   v.lru = lru_.begin();
+  v.last_use = ++use_clock_;
   pages_[id].emplace(page_lsn, std::move(v));
   bytes_used_ += kVersionCost;
   published_.fetch_add(1, std::memory_order_relaxed);
@@ -157,6 +161,11 @@ void VersionStore::ResetStats() {
   evictions_.store(0, std::memory_order_relaxed);
   cap_drops_.store(0, std::memory_order_relaxed);
   truncation_drops_.store(0, std::memory_order_relaxed);
+}
+
+void VersionStore::TouchLocked(Version* v) {
+  lru_.splice(lru_.begin(), lru_, v->lru);
+  v->last_use = ++use_clock_;
 }
 
 void VersionStore::EvictOneLocked() {

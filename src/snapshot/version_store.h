@@ -9,9 +9,14 @@
 //
 // A cached version is the exact historical image of the page as it
 // stood at `page_lsn`, and it stays the image of record until the next
-// modification of that page at `valid_until` (exclusive) -- a fact the
-// rewinder knows for free, because the last chain element it processed
-// IS that next modification. Lookup therefore distinguishes:
+// modification of that page at `valid_until` (exclusive). A rewind
+// knows that bound for free, because the last chain element it
+// processed IS that next modification. A seed that needed no undo at
+// all is published too, with the mount's split + 1 as the bound: it
+// already predated the split, so nothing changed the page between its
+// LSN and the split. Every bound is a lower bound of the next change,
+// so a re-publish of a cached version keeps the larger of the two.
+// Lookup therefore distinguishes:
 //
 //   * exact hit    -- a version with page_lsn <= target < valid_until:
 //                     the image is returned as-is, no chain walk at all.
@@ -31,8 +36,9 @@
 //
 // Memory is bounded by a byte budget (DatabaseOptions::
 // version_store_bytes; 0 disables) with global LRU eviction plus a
-// small per-page version cap. Log truncation (retention enforcement)
-// drops versions that lie wholly before the truncation point.
+// small per-page version cap, at which the page's least recently used
+// version yields. Log truncation (retention enforcement) drops
+// versions that lie wholly before the truncation point.
 #ifndef REWINDDB_SNAPSHOT_VERSION_STORE_H_
 #define REWINDDB_SNAPSHOT_VERSION_STORE_H_
 
@@ -70,7 +76,8 @@ class VersionStore {
     /// Budget-pressure LRU evictions: the signal for sizing
     /// version_store_bytes.
     uint64_t evictions = 0;
-    /// Displacements by the per-page version cap (not budget related).
+    /// Displacements by the per-page version cap (not budget related):
+    /// a full page's least recently used version yields.
     uint64_t cap_drops = 0;
     uint64_t truncation_drops = 0;
   };
@@ -87,8 +94,10 @@ class VersionStore {
 
   /// Publish a rewound image. `buf`'s stamped page LSN keys the
   /// version; `valid_until` is the LSN of the page's next modification
-  /// (the last chain element the rewind processed). Ignored when
-  /// disabled or when valid_until does not exceed the page LSN.
+  /// (the last chain element the rewind processed), or any lower bound
+  /// of it. Re-publishing a cached version raises its valid_until to
+  /// the larger bound. Ignored when disabled or when valid_until does
+  /// not exceed the page LSN.
   void Publish(PageId id, const char* buf, Lsn valid_until);
 
   /// Retention enforcement truncated the log before `lsn`: drop every
@@ -132,16 +141,21 @@ class VersionStore {
     std::shared_ptr<char[]> image;  // kPageSize bytes
     Lsn valid_until = kInvalidLsn;  // exclusive
     LruList::iterator lru;
+    /// use_clock_ at the last publish or find: picks the page's
+    /// victim at the per-page cap.
+    uint64_t last_use = 0;
   };
 
   /// Accounting cost of one version (image + index/LRU overhead).
   static constexpr size_t kVersionCost = kPageSize + 96;
   /// Hot pages keep at most this many materialized versions; beyond it
-  /// the oldest-in-time version yields (targets slide forward with the
-  /// retention window, so the oldest is the least likely to be asked
-  /// for again).
+  /// the page's least recently published-or-found version yields,
+  /// whatever its age. Keeping the newest instead bunched a hot page's
+  /// versions at the latest targets, and every older target rewound it
+  /// from there. A larger cap buys reuse with resident memory.
   static constexpr size_t kMaxVersionsPerPage = 8;
 
+  void TouchLocked(Version* v);
   void EvictOneLocked();
   void EvictToBudgetLocked(size_t budget);
   void EraseLocked(PageId id, VersionMap::iterator it);
@@ -151,6 +165,7 @@ class VersionStore {
   mutable std::mutex mu_;
   std::unordered_map<PageId, VersionMap> pages_;
   LruList lru_;  // front = most recent
+  uint64_t use_clock_ = 0;  // ticks once per publish or find
   size_t bytes_used_ = 0;
   /// Highest TruncateBefore point seen; publishes of versions that lie
   /// wholly before it (a rewind racing retention enforcement) are

@@ -184,6 +184,9 @@ SqlResult SqlSession::ShowStats() {
   add("version_store.evictions", vs.evictions);
   add("version_store.cap_drops", vs.cap_drops);
   add("version_store.truncation_drops", vs.truncation_drops);
+  const VersionStore* versions = conn_->engine()->version_store();
+  add("version_store.versions", versions->version_count());
+  add("version_store.bytes_used", versions->bytes_used());
 
   wal::WalStats ws = conn_->engine()->log()->stats();
   add("wal.fsyncs", ws.fsyncs);

@@ -644,6 +644,77 @@ TEST_F(SnapshotTest, EvictedRewoundPagesReturnFromSideFile) {
   EXPECT_EQ((*snap)->rewinder()->records_undone(), undone);
 }
 
+TEST_F(SnapshotTest, PageUnchangedSinceBeforeTheSplitIsPublished) {
+  MakeKvTable();
+  auto table = db_->OpenTable("t");
+  clock_->Advance(10 * kSecond);
+  PutRows(&*table, 0, 50, "v1");  // the table's one leaf
+  clock_->Advance(kSecond);
+  WallClock t1 = clock_->NowMicros();
+  clock_->Advance(kSecond);
+  VersionStore* versions = db_->version_store();
+
+  // No page changed after t1: the first mount undoes nothing, and it
+  // publishes every page it read.
+  {
+    auto snap = AsOfSnapshot::Create(db_.get(), "first", t1);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ASSERT_TRUE((*snap)->WaitForUndo().ok());
+    auto st = (*snap)->OpenTable("t");
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(*st->Count(), 50u);
+    EXPECT_EQ((*snap)->rewinder()->pages_rewound(), 0u);
+  }
+  EXPECT_GT(versions->stats().published, 0u);
+
+  // A second mount at the same time takes every page from the store as
+  // an exact hit and reads no primary data page.
+  {
+    const VersionStore::Stats vs0 = versions->stats();
+    const uint64_t reads0 = db_->stats()->data_reads.load();
+    auto snap = AsOfSnapshot::Create(db_.get(), "second", t1);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ASSERT_TRUE((*snap)->WaitForUndo().ok());
+    auto st = (*snap)->OpenTable("t");
+    ASSERT_TRUE(st.ok());
+    auto contents = SnapshotContents(&*st);
+    ASSERT_EQ(contents.size(), 50u);
+    for (const auto& [k, v] : contents) EXPECT_EQ(v, "v1") << k;
+    const VersionStore::Stats vs1 = versions->stats();
+    EXPECT_GT(vs1.exact_hits, vs0.exact_hits);
+    EXPECT_EQ(vs1.partial_hits, vs0.partial_hits);
+    EXPECT_EQ(vs1.misses, vs0.misses);
+    EXPECT_EQ(db_->stats()->data_reads.load(), reads0)
+        << "every page should have come from the version store";
+  }
+
+  // The leaf changes after t1, then again after t2. A mount at t2 must
+  // not take the version published for t1: it rewinds the leaf back
+  // over the second change only.
+  Transaction* next = db_->Begin();
+  ASSERT_TRUE(table->Update(next, {0, std::string("v2")}).ok());
+  ASSERT_TRUE(db_->Commit(next).ok());
+  clock_->Advance(kSecond);
+  WallClock t2 = clock_->NowMicros();
+  clock_->Advance(kSecond);
+  Transaction* later = db_->Begin();
+  ASSERT_TRUE(table->Update(later, {1, std::string("v3")}).ok());
+  ASSERT_TRUE(db_->Commit(later).ok());
+  {
+    auto snap = AsOfSnapshot::Create(db_.get(), "third", t2);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ASSERT_TRUE((*snap)->WaitForUndo().ok());
+    auto st = (*snap)->OpenTable("t");
+    ASSERT_TRUE(st.ok());
+    auto contents = SnapshotContents(&*st);
+    ASSERT_EQ(contents.size(), 50u);
+    for (const auto& [k, v] : contents) {
+      EXPECT_EQ(v, k == 0 ? "v2" : "v1") << k;
+    }
+    EXPECT_GT((*snap)->rewinder()->records_undone(), 0u);
+  }
+}
+
 TEST_F(SnapshotTest, FpiPeriodSkipsLogRegions) {
   // Two databases, identical workload; one logs a full page image every
   // 8 modifications. Rewinding far back must undo far fewer individual

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 
 #include "engine/database.h"
@@ -290,6 +291,56 @@ TEST_F(SqlSessionTest, ShowStatsReturnsMetricRowset) {
         "snapshots.open_anchors"}) {
     EXPECT_TRUE(metrics.count(expected)) << "missing metric " << expected;
   }
+}
+
+TEST_F(SqlSessionTest, ShowStatsReportsVersionStoreOccupancy) {
+  ASSERT_TRUE(
+      session_->Execute("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+          .ok());
+  auto table = db_->OpenTable("t");
+  ASSERT_TRUE(table.ok());
+  clock_->Advance(10 * kSecond);
+  Transaction* txn = db_->Begin();
+  for (int i = 0; i < 10; i++) ASSERT_TRUE(table->Insert(txn, {i, 0}).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  clock_->Advance(kSecond);
+  WallClock before = clock_->NowMicros();
+  clock_->Advance(kSecond);
+  txn = db_->Begin();
+  ASSERT_TRUE(table->Update(txn, {0, 1}).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+
+  auto occupancy = [&] {
+    std::map<std::string, int64_t> out;
+    auto res = session_->ExecuteStatement("SHOW STATS");
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    if (!res.ok()) return out;
+    for (const Row& row : res->rows) {
+      const std::string name = row[0].AsString();
+      if (name == "version_store.versions" ||
+          name == "version_store.bytes_used") {
+        out[name] = row[1].AsInt64();
+      }
+    }
+    return out;
+  };
+  auto empty = occupancy();
+  ASSERT_EQ(empty.size(), 2u) << "both occupancy rows must be reported";
+  EXPECT_EQ(empty["version_store.versions"], 0);
+  EXPECT_EQ(empty["version_store.bytes_used"], 0);
+
+  auto rows = session_->ExecuteStatement("SELECT COUNT(*) FROM t AS OF " +
+                                         std::to_string(before));
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  auto used = occupancy();
+  const VersionStore* versions = db_->version_store();
+  EXPECT_GT(used["version_store.versions"], 0);
+  EXPECT_EQ(used["version_store.versions"],
+            static_cast<int64_t>(versions->version_count()));
+  EXPECT_EQ(used["version_store.bytes_used"],
+            static_cast<int64_t>(versions->bytes_used()));
+  EXPECT_GE(used["version_store.bytes_used"],
+            used["version_store.versions"] * static_cast<int64_t>(kPageSize));
 }
 
 TEST_F(SqlSessionTest, ShowStatsIncludesExtraRows) {

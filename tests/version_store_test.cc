@@ -1,6 +1,7 @@
 // Tests for the shared version store: the cross-snapshot cache of
 // rewound page images. Covers the unit behaviour (exact / partial
-// lookup semantics, LRU eviction under a byte budget, truncation
+// lookup semantics, LRU eviction under a byte budget and at the
+// per-page cap, range extension on re-publish, truncation
 // invalidation) and the end-to-end contract: a second snapshot at the
 // same target time materializes its pages from the store with far
 // fewer records undone, snapshots at different times share partial
@@ -136,27 +137,59 @@ TEST(VersionStoreUnitTest, LruEvictionUnderTinyBudget) {
   EXPECT_EQ(store.bytes_used(), 0u);
 }
 
-TEST(VersionStoreUnitTest, PerPageVersionCapDropsOldest) {
+TEST(VersionStoreUnitTest, PerPageCapEvictsLeastRecentlyUsedVersion) {
+  using Kind = VersionStore::LookupKind;
   VersionStore store(1ull << 22);
   char img[kPageSize];
   char out[kPageSize];
-  for (Lsn l = 100; l < 100 + 20 * 10; l += 20) {
+  // Eight versions fill page 3: [100,110), [120,130), ..., [240,250).
+  for (Lsn l = 100; l < 260; l += 20) {
     store.Publish(3, InitImage(img, 3, l), l + 10);
   }
   EXPECT_EQ(store.version_count(), 8u) << "per-page cap";
-  // Cap displacements are not budget evictions: they report separately.
-  EXPECT_EQ(store.stats().cap_drops, 2u);
-  EXPECT_EQ(store.stats().evictions, 0u);
-  // The oldest versions yielded; the newest survive.
-  EXPECT_EQ(store.Find(3, 105, out).kind, VersionStore::LookupKind::kPartial);
-  EXPECT_EQ(store.Find(3, 285, out).kind, VersionStore::LookupKind::kExact);
-  // A version older than everything cached is not worth a slot of a
-  // full page: it must be rejected, not displace a newer version.
+  // Every version but the one at 160 is found again, the oldest too.
+  for (Lsn l = 100; l < 260; l += 20) {
+    if (l != 160) {
+      ASSERT_EQ(store.Find(3, l + 5, out).kind, Kind::kExact);
+    }
+  }
+
+  // A version older than every cached one is accepted; the least
+  // recently used version yields, not the oldest.
   store.Publish(3, InitImage(img, 3, 60), 80);
   EXPECT_EQ(store.version_count(), 8u);
+  // Cap displacements are not budget evictions: they report separately.
+  EXPECT_EQ(store.stats().cap_drops, 1u);
+  EXPECT_EQ(store.stats().evictions, 0u);
+  EXPECT_EQ(store.Find(3, 65, out).kind, Kind::kExact);
+  EXPECT_EQ(PageLsn(out), 60u);
+  EXPECT_EQ(store.Find(3, 165, out).kind, Kind::kPartial)
+      << "the least recently used version must have yielded";
+  EXPECT_EQ(PageLsn(out), 180u);
+  EXPECT_EQ(store.Find(3, 105, out).kind, Kind::kExact)
+      << "the oldest version was in use and must survive";
+
+  // A re-publish raises valid_until and never lowers it.
+  EXPECT_EQ(store.Find(3, 132, out).kind, Kind::kPartial);
+  store.Publish(3, InitImage(img, 3, 120), 135);
+  EXPECT_EQ(store.Find(3, 132, out).kind, Kind::kExact)
+      << "the larger bound of a re-publish must hold";
+  EXPECT_EQ(PageLsn(out), 120u);
+  store.Publish(3, InitImage(img, 3, 120), 125);
+  EXPECT_EQ(store.Find(3, 132, out).kind, Kind::kExact)
+      << "a smaller bound must not lower valid_until";
+  EXPECT_EQ(store.version_count(), 8u);
+  EXPECT_EQ(store.stats().published, 9u) << "a re-publish adds no version";
+
+  // A re-publish is a use too: 200, 220 and 240 are now the page's
+  // least recently used, in that order, and re-publishing 200 leaves
+  // 220 to yield.
+  store.Publish(3, InitImage(img, 3, 200), 210);
+  store.Publish(3, InitImage(img, 3, 260), 270);
   EXPECT_EQ(store.stats().cap_drops, 2u);
-  EXPECT_EQ(store.Find(3, 65, out).kind, VersionStore::LookupKind::kPartial)
-      << "the rejected publish must not have landed";
+  EXPECT_EQ(store.Find(3, 205, out).kind, Kind::kExact);
+  EXPECT_EQ(store.Find(3, 225, out).kind, Kind::kPartial);
+  EXPECT_EQ(PageLsn(out), 240u);
 }
 
 TEST(VersionStoreUnitTest, TruncateBeforeDropsWhollyStaleVersions) {
